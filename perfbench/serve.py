@@ -63,8 +63,8 @@ WARMUP_JOBS = 4
 CLOSED_JOBSETS = 16
 CLOSED_JOBSET_SIZE = 16
 WARM_JOBSETS = 4
-#: Pause before the warm phase: the default admission bucket refills
-#: from empty in burst / rate = 2 s.
+#: Pause before the warm phase and before the open loop: the default
+#: admission bucket refills from empty in burst / rate = 2 s.
 REFILL_S = 2.0
 POLL_INTERVAL_S = 0.002
 
