@@ -276,6 +276,18 @@ class CdclSanitizer:
                 f"learnt clause {learnt!r}: assertion level {back} != "
                 f"max level {expected} of the non-asserting literals")
 
+    def check_heap(self, solver) -> None:
+        """Every unassigned variable has a decision-heap entry carrying its
+        current activity, so the lazy heap picks the variable a linear scan
+        would."""
+        entries = set(solver._heap)
+        for var in range(1, solver.num_vars + 1):
+            if (solver.assign[var] == 0
+                    and (-solver.activity[var], var) not in entries):
+                raise SanitizerError(
+                    f"unassigned variable {var} has no decision-heap entry "
+                    f"at its activity {solver.activity[var]}")
+
     def check_model(self, solver) -> None:
         """At a SAT answer every variable is assigned and every clause
         (original and learnt) is satisfied."""

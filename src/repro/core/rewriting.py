@@ -193,18 +193,18 @@ class TypeRewriting:
     def _enumerate_projected(
         self, cnf: CNF, projection: list[int],
     ) -> list[tuple[bool, ...]]:
-        """All solution projections onto the given variables."""
+        """All solution projections onto the given variables, found on one
+        incremental solver that blocks each projection in place."""
         out: list[tuple[bool, ...]] = []
-        blocking: list[list[int]] = []
+        solver = Solver(cnf.num_vars, cnf.clauses)
         while len(out) < self.enumeration_limit:
-            assignment = Solver(cnf.num_vars, cnf.clauses + blocking).solve()
+            assignment = solver.solve()
             if assignment is None:
                 break
-            bits = tuple(bool(assignment.get(v)) for v in projection)
+            bits = tuple(assignment[v] for v in projection)
             out.append(bits)
-            blocking.append([
-                -v if assignment.get(v) else v for v in projection
-            ])
+            solver.add_clause(
+                [-v if bit else v for v, bit in zip(projection, bits)])
         return out
 
     # -- the fixpoint evaluator ("running the program") -----------------------

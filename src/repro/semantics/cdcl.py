@@ -2,12 +2,15 @@
 
 This replaces plain DPLL as the engine behind the finite-countermodel
 search.  Literals are non-zero integers (positive = variable true); clauses
-are lists of literals.  The solver is self-contained and has no external
-dependencies.
+are lists of literals.  The solver is incremental in the MiniSat sense
+(Eén & Sörensson, SAT 2003): clauses may be added between solves, and
+learnt clauses and VSIDS activities carry over.  It is self-contained and
+has no external dependencies.
 """
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Sequence
 
 from ..analysis.sanitizers import cdcl_sanitizer
@@ -16,9 +19,13 @@ from ..runtime import Budget
 
 
 class Solver:
-    """One-shot CDCL solver for a fixed clause set.
+    """Incremental CDCL solver over a fixed set of variables.
 
-    ``sanitize`` enables the runtime invariant checkers of
+    :meth:`add_clause` may be called between calls to :meth:`solve`; each
+    solve starts from decision level 0 and keeps the learnt clauses and
+    VSIDS activities of the earlier ones, which is sound because the
+    clause set only grows.  Once a solve answers UNSAT, every later solve
+    does too.  ``sanitize`` enables the runtime invariant checkers of
     :mod:`repro.analysis.sanitizers` (default: the ``REPRO_SANITIZE``
     environment variable).
     """
@@ -34,28 +41,47 @@ class Solver:
         self.reason: list[list[int] | None] = [None] * (num_vars + 1)
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
+        self._qhead = 0   # trail position of the next literal to propagate
         # watched literals: literal -> clause indices watching it
         self.watches: dict[int, list[int]] = {}
         self.activity: list[float] = [0.0] * (num_vars + 1)
         self.var_inc = 1.0
+        # decision order: a lazy binary heap of (-activity, var).  Every
+        # unassigned variable has an entry carrying its current activity;
+        # entries of assigned variables are stale and skipped by _decide.
+        # An unassigned variable's older entries carry a lower activity
+        # (activities only grow between rebuilds), so they never surface
+        # before the current one.
+        self._heap: list[tuple[float, int]] = [
+            (-0.0, v) for v in range(1, num_vars + 1)]
         self.ok = True
         for clause in clauses:
-            self._add_clause(list(clause))
+            self.add_clause(clause)
 
     # -- clause management ----------------------------------------------------
 
-    def _add_clause(self, lits: list[int]) -> None:
-        lits = sorted(set(lits), key=abs)
-        # tautology elimination
-        seen = set(lits)
-        if any(-l in seen for l in lits):
+    def add_clause(self, lits: Iterable[int]) -> None:
+        """Add a clause, also after :meth:`solve` (incremental use).
+
+        Backtracks to level 0, then simplifies against the level-0
+        assignment: a clause with a true literal is dropped and false
+        literals are stripped.  What is left becomes UNSAT (empty), a
+        level-0 unit, or a watched clause.
+        """
+        if not self.ok:
             return
+        self._backtrack(0)
+        lits = sorted(set(lits), key=abs)
+        seen = set(lits)
+        # a tautology, or a clause satisfied at level 0, adds nothing
+        if any(-l in seen or self._value(l) == 1 for l in lits):
+            return
+        lits = [l for l in lits if self._value(l) == 0]
         if not lits:
             self.ok = False
             return
         if len(lits) == 1:
-            if not self._enqueue(lits[0], None):
-                self.ok = False
+            self._enqueue(lits[0], None)
             return
         idx = len(self.clauses)
         self.clauses.append(lits)
@@ -83,7 +109,7 @@ class Solver:
 
     def _propagate(self) -> list[int] | None:
         """Unit propagation; returns a conflicting clause or None."""
-        head = getattr(self, "_qhead", 0)
+        head = self._qhead
         while head < len(self.trail):
             lit = self.trail[head]
             head += 1
@@ -126,6 +152,15 @@ class Solver:
             for v in range(1, self.num_vars + 1):
                 self.activity[v] *= 1e-100
             self.var_inc *= 1e-100
+            self._rebuild_heap()
+        elif self.assign[var] == 0:
+            heappush(self._heap, (-self.activity[var], var))
+
+    def _rebuild_heap(self) -> None:
+        self._heap = [(-self.activity[v], v)
+                      for v in range(1, self.num_vars + 1)
+                      if self.assign[v] == 0]
+        heapify(self._heap)
 
     def _analyze(self, conflict: list[int]) -> tuple[list[int], int]:
         """1UIP conflict analysis: returns (learnt clause, backjump level)."""
@@ -175,14 +210,19 @@ class Solver:
                 var = abs(lit)
                 self.assign[var] = 0
                 self.reason[var] = None
-        self._qhead = min(getattr(self, "_qhead", 0), len(self.trail))
+                heappush(self._heap, (-self.activity[var], var))
+        self._qhead = min(self._qhead, len(self.trail))
+        if len(self._heap) > 4 * self.num_vars + 64:
+            self._rebuild_heap()  # drop the stale entries
 
     def _decide(self) -> int:
-        best, best_act = 0, -1.0
-        for var in range(1, self.num_vars + 1):
-            if self.assign[var] == 0 and self.activity[var] > best_act:
-                best, best_act = var, self.activity[var]
-        return -best if best else 0  # prefer False (sparser models)
+        """Highest activity, then lowest variable; 0 when all are assigned."""
+        heap = self._heap
+        while heap:
+            var = heappop(heap)[1]
+            if self.assign[var] == 0:
+                return -var  # prefer False (sparser models)
+        return 0
 
     # -- main loop ----------------------------------------------------------------
 
@@ -195,7 +235,9 @@ class Solver:
         :class:`repro.runtime.Budget` makes every learnt conflict (and,
         strided, every decision) a cooperative checkpoint, raising
         :class:`repro.runtime.BudgetExceeded` on deadline expiry or
-        conflict-limit exhaustion.
+        conflict-limit exhaustion.  The search starts from level 0; a SAT
+        answer leaves its assignment on the trail until the next
+        :meth:`add_clause` or :meth:`solve`.
         """
         # One span per solve; the decide/propagate/conflict loop reports
         # its counters as span attributes, and a BudgetExceeded escaping
@@ -206,6 +248,7 @@ class Solver:
             if not self.ok:
                 span.set(result="unsat", conflicts=0, decisions=0, restarts=0)
                 return None
+            self._backtrack(0)
             conflicts = 0
             decisions = 0
             restarts = 0
@@ -222,20 +265,26 @@ class Solver:
                 if conflict is not None:
                     conflicts += 1
                     since_restart += 1
+                    if not self.trail_lim:
+                        # conflict at level 0: UNSAT, for later solves too,
+                        # even if a budget aborts this one just below
+                        self.ok = False
                     if budget is not None:
                         budget.tick_conflict()
                     if max_conflicts is not None and conflicts > max_conflicts:
                         finish("aborted")
                         raise RuntimeError("CDCL conflict budget exceeded")
-                    if not self.trail_lim:
+                    if not self.ok:
                         finish("unsat")
-                        return None  # conflict at level 0: UNSAT
+                        return None
                     learnt, back = self._analyze(conflict)
                     self._backtrack(back)
                     if self._san:
                         self._san.check_learned(self, learnt, back)
+                        self._san.check_heap(self)
                     if len(learnt) == 1:
                         if not self._enqueue(learnt[0], None):
+                            self.ok = False
                             finish("unsat")
                             return None
                     else:

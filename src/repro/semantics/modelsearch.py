@@ -102,7 +102,7 @@ def enumerate_models(
     *limit* models are returned.
     """
     from .cdcl import Solver
-    from .sat import CNF, add_formula, ground
+    from .sat import CNF, add_formula, ground, model_to_interpretation
 
     domain: list[Element] = sorted(base.dom(), key=repr)
     domain += fresh_nulls("m", extra, avoid=base.dom())
@@ -116,22 +116,16 @@ def enumerate_models(
     if require_true is not None:
         add_formula(cnf, ground(require_true, domain))
     models: list[Interpretation] = []
-    blocking: list[list[int]] = []
+    solver = Solver(cnf.num_vars, cnf.clauses)
     while len(models) < limit:
         if budget is not None:
             budget.solver_runs += 1
-        solver = Solver(cnf.num_vars, cnf.clauses + blocking)
         assignment = solver.solve(budget=budget)
         if assignment is None:
             break
-        from .sat import model_to_interpretation
-
-        model = model_to_interpretation(cnf, assignment)
-        models.append(model)
-        clause = []
-        for var, key in cnf.key_of.items():
-            clause.append(-var if assignment.get(var) else var)
-        blocking.append(clause)
+        models.append(model_to_interpretation(cnf, assignment))
+        solver.add_clause(
+            [-var if assignment[var] else var for var in cnf.key_of])
     return models
 
 

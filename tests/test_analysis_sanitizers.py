@@ -244,6 +244,19 @@ class TestCdclSanitizer:
         with pytest.raises(SanitizerError, match="assertion level"):
             self.san.check_learned(solver, [1, 2], 0)  # should be 1
 
+    # -- decision heap
+
+    def test_heap_green(self):
+        solver = self._solver()
+        solver._bump(2)
+        self.san.check_heap(solver)
+
+    def test_heap_stale_activity_seeded(self):
+        solver = self._solver()
+        solver.activity[2] = 5.0  # bumped without a heap entry
+        with pytest.raises(SanitizerError, match="decision-heap entry"):
+            self.san.check_heap(solver)
+
     # -- model
 
     def test_model_green(self):

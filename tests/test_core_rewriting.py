@@ -8,6 +8,7 @@ from repro.logic.instance import make_instance
 from repro.logic.ontology import ontology
 from repro.logic.syntax import Const
 from repro.queries.cq import parse_cq
+from repro.semantics.cdcl import Solver
 from repro.semantics.certain import CertainEngine
 
 PROP = ontology("forall x,y (R(x,y) -> (A(x) -> A(y)))", name="prop")
@@ -182,3 +183,41 @@ class TestDatalogEmission:
         # uGF (no equality/counting): the rewriting needs no inequality
         rw = TypeRewriting(PROP, PROP_Q)
         assert rw.to_datalog_program().is_pure_datalog()
+
+
+def _rebuild_per_solution(self, cnf, projection):
+    """Reference AllSAT: a fresh solver over the CNF plus every blocking
+    clause found so far, for each solution."""
+    out, blocking = [], []
+    while len(out) < self.enumeration_limit:
+        assignment = Solver(cnf.num_vars, cnf.clauses + blocking).solve()
+        if assignment is None:
+            break
+        out.append(tuple(assignment[v] for v in projection))
+        blocking.append([-v if assignment[v] else v for v in projection])
+    return out
+
+
+class TestIncrementalEnumeration:
+    @pytest.mark.parametrize("onto, query", [(PROP, PROP_Q), (HAND, HAND_Q)])
+    def test_two_solvers_per_rewriting(self, monkeypatch, onto, query):
+        built = []
+        init = Solver.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Solver, "__init__", counting_init)
+        TypeRewriting(onto, query)
+        assert len(built) == 2  # one for element types, one for pair types
+
+    @pytest.mark.parametrize("onto, query", [(PROP, PROP_Q), (HAND, HAND_Q)])
+    def test_types_match_rebuild_per_solution(self, monkeypatch, onto, query):
+        incremental = TypeRewriting(onto, query)
+        monkeypatch.setattr(TypeRewriting, "_enumerate_projected",
+                            _rebuild_per_solution)
+        reference = TypeRewriting(onto, query)
+        assert set(incremental.elem_types) == set(reference.elem_types)
+        assert set(incremental.pair_types) == set(reference.pair_types)
+        assert len(incremental.pair_types) == len(reference.pair_types)

@@ -2,7 +2,9 @@
 
 import itertools
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.logic.instance import make_instance
 from repro.logic.model_check import evaluate
@@ -150,6 +152,104 @@ class TestCDCL:
             cnf2 = CNF()
             add_formula(cnf2, phi)
             assert (dpll(cnf1) is None) == (dpll_basic(cnf2) is None)
+
+
+def _satisfies(model, clauses):
+    return all(any(model[abs(l)] == (l > 0) for l in c) for c in clauses)
+
+
+def _brute_force_projections(num_vars, clauses, projection):
+    out = set()
+    for values in itertools.product((False, True), repeat=num_vars):
+        model = dict(enumerate(values, start=1))
+        if _satisfies(model, clauses):
+            out.add(tuple(model[v] for v in projection))
+    return out
+
+
+@st.composite
+def _cnf_with_projection(draw):
+    num_vars = draw(st.integers(1, 6))
+    lit = st.integers(1, num_vars).flatmap(lambda v: st.sampled_from([v, -v]))
+    clauses = draw(st.lists(st.lists(lit, min_size=1, max_size=4),
+                            max_size=14))
+    projection = draw(st.lists(st.integers(1, num_vars), min_size=1,
+                               max_size=num_vars, unique=True))
+    return num_vars, clauses, projection
+
+
+class TestIncremental:
+    """One solver, clauses added between solves."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_cnf_with_projection())
+    def test_allsat_matches_brute_force(self, case):
+        num_vars, clauses, projection = case
+        solver = Solver(num_vars, clauses)
+        found = []
+        while (model := solver.solve()) is not None:
+            assert _satisfies(model, clauses)
+            assert len(found) < 2 ** len(projection), "a blocked model recurs"
+            bits = tuple(model[v] for v in projection)
+            found.append(bits)
+            solver.add_clause(
+                [-v if bit else v for v, bit in zip(projection, bits)])
+        assert len(found) == len(set(found))
+        assert set(found) == _brute_force_projections(
+            num_vars, clauses, projection)
+
+    def test_unsat_is_sticky(self):
+        solver = Solver(2, [[1, 2]])
+        assert solver.solve() is not None
+        solver.add_clause([-1])
+        solver.add_clause([-2])
+        assert solver.solve() is None
+        assert not solver.ok
+        solver.add_clause([1, 2])
+        assert solver.solve() is None
+
+    def test_unsat_found_by_search_is_sticky(self):
+        clauses = [[1, 2], [1, -2], [-1, 2], [-1, -2]]
+        solver = Solver(2, clauses)
+        assert solver.solve() is None
+        assert solver.solve() is None
+
+    def test_aborted_solve_keeps_a_level_zero_conflict(self):
+        # the unit comes last, so the conflict is found by propagation
+        solver = Solver(3, [[-1, 2], [-2, 3], [-2, -3], [1]])
+        with pytest.raises(RuntimeError):
+            solver.solve(max_conflicts=0)
+        assert solver.solve() is None
+
+    def test_solve_after_abort_resumes(self):
+        clauses = [[1, 2], [-1, 2], [1, -2], [2, 3], [-3, 1]]
+        solver = Solver(3, clauses)
+        with pytest.raises(RuntimeError):
+            solver.solve(max_conflicts=0)
+        model = solver.solve()
+        assert model is not None and _satisfies(model, clauses)
+
+    def test_clause_satisfied_at_level_zero_is_dropped(self):
+        solver = Solver(3, [[1], [2, 3]])
+        assert solver.solve() is not None
+        n = len(solver.clauses)
+        solver.add_clause([1, -2, -3])
+        assert len(solver.clauses) == n
+        assert solver.solve() is not None
+
+    def test_clause_falsified_at_level_zero_makes_unsat(self):
+        solver = Solver(2, [[1], [-2]])
+        assert solver.solve() is not None
+        solver.add_clause([-1, 2])
+        assert not solver.ok
+        assert solver.solve() is None
+
+    def test_clause_left_unit_at_level_zero_is_enqueued(self):
+        solver = Solver(3, [[1], [-3, 2]])
+        assert solver.solve() is not None
+        solver.add_clause([-1, 3])
+        model = solver.solve()
+        assert model is not None and model[3] and model[2]
 
 
 class TestModelExtraction:
