@@ -579,7 +579,7 @@ class ReproServer:
         for name, value in self.answer_cache.stats().get("memory", {}).items():
             gauges[f"cache.answer.{name}"] = float(value)
         backend = self.answer_cache.backend
-        if backend is not None and hasattr(backend, "stats"):
+        if backend is not None:
             # The durable tier's accounting (hits/misses/entries/tripped,
             # plus sqlite's persisted lifetime aggregates), flattened to
             # numeric storage.* gauges; string fields like the scheme

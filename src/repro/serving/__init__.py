@@ -31,7 +31,7 @@ from .batch import (
     make_worker_pool, quarantined_result,
 )
 from .cache import (
-    AnswerCache, DiskCache, LRUCache, clear_caches, conversion_cache_stats,
+    AnswerCache, LRUCache, clear_caches, conversion_cache_stats,
     convert_ontology_cached,
 )
 from .fingerprint import (
@@ -52,7 +52,7 @@ __all__ = [
     "BatchReport", "Job", "JobResult", "comparable_report", "crash_result",
     "evaluate_batch", "job_key", "jobs_from_entries", "load_workload",
     "make_worker_pool", "quarantined_result",
-    "AnswerCache", "DiskCache", "LRUCache", "clear_caches",
+    "AnswerCache", "LRUCache", "clear_caches",
     "conversion_cache_stats", "convert_ontology_cached",
     "canonical_instance", "canonical_ontology", "canonical_query",
     "fingerprint_instance", "fingerprint_omq", "fingerprint_ontology",

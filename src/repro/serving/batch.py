@@ -44,7 +44,7 @@ from ..resilience import (
     AttemptOutcome, Journal, PoolSupervisor, RetryPolicy, Supervisor, Task,
 )
 from ..runtime import Budget
-from ..storage.base import open_backend
+from ..storage.base import StorageBackend, open_backend
 from .cache import AnswerCache, conversion_cache_stats
 from .fingerprint import fingerprint_ontology
 from .metrics import Histogram, MetricsRegistry
@@ -363,7 +363,7 @@ def _run_job(payload: tuple) -> dict[str, Any]:
         "metrics": metrics_raw,
         # The durable tier's circuit breaker trips per *process*; ship the
         # flag back so the driver can surface it in BatchReport.stats.
-        "cache_tripped": bool(getattr(cache.disk, "tripped", False)),
+        "cache_tripped": cache.backend is not None and cache.backend.tripped,
     }
 
 
@@ -704,7 +704,7 @@ def evaluate_batch(
     pool_supervisor: PoolSupervisor | None = None
     owns_pool = False
     cache: AnswerCache | None = None
-    storage: Any | None = None  # driver-side durable-tier handle (stats)
+    storage: StorageBackend | None = None  # driver-side handle (stats)
     owns_storage = False
     if pool is not None:
         pool_supervisor = pool
@@ -714,8 +714,8 @@ def evaluate_batch(
         if cache is None:
             cache = AnswerCache(
                 backend=open_backend(cache_uri) if cache_uri else None)
-            owns_storage = cache.disk is not None
-        storage = cache.disk
+            owns_storage = cache.backend is not None
+        storage = cache.backend
     else:
         pool_supervisor = PoolSupervisor(
             _run_job, workers, max_pool_deaths=max_pool_deaths)
@@ -768,21 +768,19 @@ def evaluate_batch(
         "misses": len(results) - hits,
         "hit_rate": round(hits / len(results), 4),
     }
-    tripped = runner.cache_tripped or bool(
-        getattr(storage, "tripped", False))
+    tripped = runner.cache_tripped or (
+        storage is not None and storage.tripped)
     if storage is not None:
         try:
             cache_stats["backend"] = storage.stats()
         except Exception:
             pass  # stats are best-effort, like the tier itself
         if owns_storage:
-            close = getattr(storage, "close", None)
-            if close is not None:
-                close()
+            storage.close()
     cache_stats["tripped"] = tripped
     if tripped:
-        # The write breaker used to trip silently inside DiskCache; make
-        # it visible exactly once per batch in the trace as well.
+        # A tripped write breaker is otherwise silent; make it visible
+        # exactly once per batch in the trace as well.
         with tracer.span("storage.breaker",
                          backend=cache_uri or "memory") as span:
             span.set(tripped=True)

@@ -13,7 +13,13 @@ Contract (every backend, every method):
 
 * **get/put/delete are best-effort and never raise** on I/O trouble — a
   broken cache volume must degrade a batch to cache-miss speed, never
-  abort it.  Failures are counted in :meth:`StorageBackend.stats`.
+  abort it.  Failures are counted in :meth:`StorageBackend.stats`, and
+  a failed read counts as a miss as well as a read error.
+* **One write breaker per process.**  ``BREAKER_THRESHOLD`` failed puts
+  in a row set ``tripped``; from then on every ``get`` is a miss and
+  every ``put`` a no-op, without touching the store or consulting the
+  fault plan, so a dead volume costs a bounded number of syscalls.  A
+  successful put resets the streak.
 * **Never store UNKNOWN.**  A non-definitive result is a budget artifact,
   not a fact about the OMQ; caching it would make a starved run
   infectious.  :meth:`StorageBackend.put` raises :class:`UnstorableValue`
@@ -37,9 +43,12 @@ from __future__ import annotations
 import abc
 import os
 import re
+import threading
 from dataclasses import dataclass
 from typing import Any, Iterator
 from urllib.parse import parse_qsl
+
+from ..runtime.faults import storage_fault
 
 __all__ = [
     "EntryInfo", "StorageBackend", "StorageError", "UnstorableValue",
@@ -119,10 +128,36 @@ class EntryInfo:
 
 
 class StorageBackend(abc.ABC):
-    """Abstract base for shared answer-cache backends (see module doc)."""
+    """Abstract base for shared answer-cache backends (see module doc).
+
+    The failure semantics live here, once for every backend: the session
+    counters, the write breaker and the injected-fault tallies
+    (``injected``, by mode, for ``REPRO_FAULTS`` storage schedules).
+    Concrete backends define ``get``/``put`` once per class chain (so a
+    wrapper around each class's own methods sees every operation once),
+    gate each call through :meth:`_admit` and report outcomes through
+    the ``_record_*`` helpers.
+    """
 
     #: The URI scheme this backend answers to (``dir``/``sqlite``/``shard``).
     scheme: str = "?"
+
+    #: Failed writes in a row that trip the per-process write breaker.
+    BREAKER_THRESHOLD = 5
+
+    def __init__(self) -> None:
+        # One lock around the accounting and the breaker: the serving
+        # daemon hits one backend from many threads, and an unlocked +=
+        # loses increments.  Reentrant, so a backend may also hold it
+        # across its own I/O (the sqlite backend's one connection).
+        self._lock = threading.RLock()
+        self.hits = 0
+        self.misses = 0
+        self.read_errors = 0
+        self.write_errors = 0
+        self.consecutive_errors = 0
+        self.tripped = False
+        self.injected: dict[str, int] = {}
 
     # -- the data plane ------------------------------------------------------
 
@@ -138,19 +173,86 @@ class StorageBackend(abc.ABC):
     def delete(self, key: str) -> bool:
         """Remove one entry; True when it existed."""
 
+    # -- failure accounting --------------------------------------------------
+
+    def _admit(self, op: str) -> str | None:
+        """Gate one ``get``/``put``: the breaker first, then the fault plan.
+
+        Returns ``"skip"`` when the operation must not touch the store —
+        the breaker is tripped, or the plan injected an EIO — with its
+        accounting already done (a skipped get is a miss).  Otherwise
+        returns the injected mode the backend still has to apply
+        (``"torn"`` or ``"busy"``), or None.
+        """
+        if self.tripped:
+            if op == "get":
+                self._record_miss()
+            return "skip"
+        mode = storage_fault(op)
+        if mode is None:
+            return None
+        self._note_injected(op if mode == "eio" else mode)
+        if mode != "eio":
+            return mode
+        # A transient failure: counted like a real one, but the entry
+        # stays (only corrupt entries are evicted).
+        if op == "get":
+            self._record_miss(read_error=True)
+        else:
+            self._record_write_error()
+        return "skip"
+
+    def _note_injected(self, mode: str) -> None:
+        with self._lock:
+            self.injected[mode] = self.injected.get(mode, 0) + 1
+
+    def _record_hit(self) -> None:
+        with self._lock:
+            self.hits += 1
+
+    def _record_miss(self, read_error: bool = False) -> None:
+        with self._lock:
+            self.misses += 1
+            if read_error:
+                self.read_errors += 1
+
+    def _record_write(self) -> None:
+        with self._lock:
+            self.consecutive_errors = 0
+
+    def _record_write_error(self) -> None:
+        with self._lock:
+            self.write_errors += 1
+            self.consecutive_errors += 1
+            if self.consecutive_errors >= self.BREAKER_THRESHOLD:
+                self.tripped = True
+
     # -- the control plane ---------------------------------------------------
 
     @abc.abstractmethod
     def scan(self) -> Iterator[EntryInfo]:
         """Iterate over the stored entries (metadata only, key order)."""
 
-    @abc.abstractmethod
     def stats(self) -> dict[str, Any]:
-        """Accounting: hits/misses/errors plus backend-specific fields.
+        """Accounting: the session counters plus backend-specific fields.
 
         Always contains ``backend`` (the scheme), ``entries``, ``hits``,
-        ``misses`` and ``tripped`` so callers can report uniformly.
+        ``misses``, ``read_errors``, ``write_errors`` and ``tripped`` so
+        callers can report uniformly; ``injected`` once a fault schedule
+        has hit this backend.
         """
+        out: dict[str, Any] = {"backend": self.scheme, **self._store_stats()}
+        with self._lock:
+            out.update(hits=self.hits, misses=self.misses,
+                       read_errors=self.read_errors,
+                       write_errors=self.write_errors, tripped=self.tripped)
+            if self.injected:
+                out["injected"] = dict(self.injected)
+        return out
+
+    @abc.abstractmethod
+    def _store_stats(self) -> dict[str, Any]:
+        """The backend-specific part of :meth:`stats` (``entries`` and up)."""
 
     @abc.abstractmethod
     def verify(self) -> list[str]:
@@ -169,11 +271,6 @@ class StorageBackend(abc.ABC):
         """Flush buffered accounting and release handles (idempotent)."""
 
     # -- conveniences --------------------------------------------------------
-
-    @property
-    def tripped(self) -> bool:
-        """True when a write circuit breaker has disabled the backend."""
-        return False
 
     def __enter__(self) -> "StorageBackend":
         return self
@@ -283,11 +380,6 @@ def open_backend(uri: str) -> StorageBackend:
             backend = DirectoryBackend(path)
     except (OSError, ValueError) as exc:
         raise StorageError(f"storage URI {uri!r}: {exc}") from exc
-    if args:
-        backend.close()
-        raise StorageError(
-            f"storage URI {uri!r}: unknown argument(s) "
-            f"{', '.join(sorted(args))}")
     return backend
 
 

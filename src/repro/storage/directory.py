@@ -1,13 +1,18 @@
-"""The directory backend: today's ``DiskCache`` behind the storage protocol.
+"""The directory backend: one JSON file per entry.
 
 One ``<key>.json`` file per entry, written atomically via ``mkstemp`` +
 ``os.replace`` — byte-compatible with the flat cache directories written
 by every previous release (a ``--cache-dir`` populated before the storage
-layer existed is a valid ``dir:`` backend and vice versa).  All failure
-semantics are :class:`repro.serving.cache.DiskCache`'s, unchanged:
-corrupt entries read as misses, are counted in ``read_errors`` and
-evicted; ``max_consecutive_errors`` failed writes in a row trip the
-write circuit breaker for the rest of the process.
+layer existed is a valid ``dir:`` backend and vice versa).  Failure
+semantics are :class:`~repro.storage.base.StorageBackend`'s: a corrupt
+entry reads as a miss, is counted in ``read_errors`` and evicted, and
+``BREAKER_THRESHOLD`` failed writes in a row trip the write breaker for
+the rest of the process.
+
+This class is also the file-backend core of
+:class:`~repro.storage.sharded.ShardedDirectoryBackend`, which overrides
+only the layout (``_path``, ``_entry_paths``, ``_write_lock``) and the
+entry format (``_encode``/``_decode``).
 
 Single-writer worldview: concurrent writers from *different processes*
 do not corrupt entries (the rename is atomic) but share no eviction or
@@ -23,10 +28,10 @@ import json
 import os
 import tempfile
 import time
+from contextlib import contextmanager
+from pathlib import Path
 from typing import Any, Iterator
 
-from ..runtime.faults import storage_fault
-from ..serving.cache import DiskCache
 from .base import EntryInfo, StorageBackend, check_storable
 
 __all__ = ["DirectoryBackend"]
@@ -37,129 +42,150 @@ class DirectoryBackend(StorageBackend):
 
     scheme = "dir"
 
-    def __init__(self, directory: str | os.PathLike,
-                 max_consecutive_errors: int = 5):
-        self._disk = DiskCache(
-            directory, max_consecutive_errors=max_consecutive_errors)
-        self.directory = self._disk.directory
-        # Injected-fault accounting (REPRO_FAULTS storage: schedules).
-        self.injected: dict[str, int] = {}
+    def __init__(self, directory: str | os.PathLike):
+        super().__init__()
+        self.directory = Path(directory)
+        self.directory.mkdir(parents=True, exist_ok=True)
 
-    def _note_injected(self, mode: str) -> None:
-        with self._disk._lock:
-            self.injected[mode] = self.injected.get(mode, 0) + 1
+    # -- layout and entry format (the sharded backend overrides these) -------
+
+    def _path(self, key: str) -> Path:
+        return self.directory / f"{key}.json"
+
+    def _entry_paths(self) -> list[Path]:
+        """Every entry file, in no particular order (may raise OSError)."""
+        return list(self.directory.glob("*.json"))
+
+    @contextmanager
+    def _write_lock(self, folder: Path) -> Iterator[None]:
+        """Held around one entry write; the flat layout takes no lock."""
+        yield
+
+    def _encode(self, key: str, value: Any) -> str:
+        return json.dumps(value)
+
+    def _decode(self, key: str, text: str, verify: bool = False) -> Any:
+        """The value an entry holds; raises ``ValueError``, ``KeyError``
+        or ``TypeError`` when the entry is corrupt.  Flat entries carry
+        no digest, so *verify* (a full re-check) adds nothing here."""
+        return json.loads(text)
 
     # -- data plane ----------------------------------------------------------
 
     def get(self, key: str, default: Any = None) -> Any:
-        mode = storage_fault("get")
-        if mode == "eio":
-            # A transient read failure: counted like a real one, but the
-            # entry stays on disk (only *corrupt* entries are evicted).
-            self._note_injected("get")
-            with self._disk._lock:
-                self._disk.read_errors += 1
-                self._disk.misses += 1
+        if self._admit("get") == "skip":
             return default
-        if mode == "busy":
-            self._note_injected("busy")  # contention absorbed; read proceeds
-        return self._disk.get(key, default)
+        path = self._path(key)
+        try:
+            with open(path) as fh:
+                value = self._decode(key, fh.read())
+        except FileNotFoundError:
+            self._record_miss()
+            return default
+        except (OSError, ValueError, TypeError, KeyError):
+            # The entry exists but does not decode (truncated write, bit
+            # rot, filed under the wrong key): a miss, plus eviction so it
+            # cannot keep failing.
+            self._record_miss(read_error=True)
+            try:
+                os.unlink(path)
+            except OSError:
+                pass
+            return default
+        self._record_hit()
+        return value
 
     def put(self, key: str, value: Any) -> None:
-        check_storable(value)
-        mode = storage_fault("put")
-        if mode == "eio":
-            self._note_injected("put")
-            self._disk._record_write_error()
-            return
-        if mode == "torn":
-            self._note_injected("torn")
-            self._write_torn(key, value)
-            return
-        if mode == "busy":
-            self._note_injected("busy")
-        self._disk.put(key, value)
+        """Best-effort write: a failed put is counted, never raised.
 
-    def _write_torn(self, key: str, value: Any) -> None:
-        """An injected torn write: the rename lands, the payload is a
-        truncated prefix — what a crash on a non-atomic filesystem leaves
-        behind.  The next read detects it, counts a read error and evicts."""
-        if self._disk.tripped:
+        Serialization errors (a non-JSON-able value) are caught like I/O
+        errors — a cache write must never abort an otherwise-successful
+        evaluation — and the temp file is always cleaned up rather than
+        leaked into the cache directory.
+        """
+        check_storable(value)
+        mode = self._admit("put")
+        if mode == "skip":
             return
+        path = self._path(key)
         tmp: str | None = None
         try:
-            text = json.dumps(value)
-            fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-            with os.fdopen(fd, "w") as fh:
-                fh.write(text[:max(1, len(text) // 2)])
-            os.replace(tmp, self._disk._path(key))
+            text = self._encode(key, value)
+            if mode == "torn":
+                # An injected torn write: the rename lands but the payload
+                # is a truncated prefix (a crash on a non-atomic
+                # filesystem); the next read or verify() flags it corrupt.
+                text = text[:max(1, len(text) // 2)]
+            with self._write_lock(path.parent):
+                fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+                with os.fdopen(fd, "w") as fh:
+                    fh.write(text)
+                os.replace(tmp, path)
         except (OSError, TypeError, ValueError):
-            self._disk._record_write_error()
+            self._record_write_error()
             if tmp is not None:
                 try:
                     os.unlink(tmp)
                 except OSError:
                     pass
+        else:
+            self._record_write()
 
     def delete(self, key: str) -> bool:
         try:
-            os.unlink(self._disk._path(key))
-        except FileNotFoundError:
-            return False
+            os.unlink(self._path(key))
         except OSError:
             return False
         return True
 
     # -- control plane -------------------------------------------------------
 
-    def _entries(self) -> Iterator[tuple[str, os.stat_result]]:
+    def _entries(self) -> Iterator[tuple[str, Path, os.stat_result]]:
         try:
-            paths = sorted(self.directory.glob("*.json"))
+            found = sorted((path.stem, path) for path in self._entry_paths())
         except OSError:
             return
-        for path in paths:
+        for key, path in found:
             try:
-                yield path.stem, path.stat()
+                yield key, path, path.stat()
             except OSError:
                 continue
 
     def scan(self) -> Iterator[EntryInfo]:
-        for key, st in self._entries():
+        for key, _path, st in self._entries():
             yield EntryInfo(key=key, size=st.st_size, created=st.st_mtime,
                             last_used=st.st_mtime)
 
-    def stats(self) -> dict[str, Any]:
-        out = dict(self._disk.stats())
-        out["backend"] = self.scheme
-        if self.injected:
-            out["injected"] = dict(self.injected)
-        return out
+    def _store_stats(self) -> dict[str, Any]:
+        try:
+            return {"entries": len(self._entry_paths())}
+        except OSError:
+            return {"entries": 0}
 
     def verify(self) -> list[str]:
-        """Corrupt keys: entries whose payload is not parseable JSON.
-
-        Directory entries carry no embedded digest (the format predates
-        the storage layer and stays byte-compatible with it), so
-        verification is structural; the digest-checked formats are the
-        sqlite and sharded backends.
-        """
+        """Corrupt keys: entries that do not decode or sit at the wrong
+        path.  Flat entries are checked structurally (the format predates
+        the storage layer); the sharded envelope also re-hashes values."""
         corrupt: list[str] = []
-        for key, _st in self._entries():
+        for key, path, _st in self._entries():
             try:
-                with open(self._disk._path(key)) as fh:
-                    json.load(fh)
-            except (OSError, ValueError):
+                with open(path) as fh:
+                    self._decode(key, fh.read(), verify=True)
+                ok = path == self._path(key)
+            except (OSError, ValueError, TypeError, KeyError):
+                ok = False
+            if not ok:
                 corrupt.append(key)
         return corrupt
 
     def evict_older_than(self, seconds: float) -> int:
         cutoff = time.time() - seconds
         evicted = 0
-        for key, st in list(self._entries()):
-            if st.st_mtime < cutoff and self.delete(key):
+        for _key, path, st in list(self._entries()):
+            if st.st_mtime < cutoff:
+                try:
+                    os.unlink(path)
+                except OSError:
+                    continue
                 evicted += 1
         return evicted
-
-    @property
-    def tripped(self) -> bool:
-        return self._disk.tripped

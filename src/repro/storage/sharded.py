@@ -19,19 +19,18 @@ contention-safe:
 * **Self-verifying envelope** — entries are stored as
   ``{"k": key, "d": digest, "v": value}``; a read checks the embedded
   key (so an entry copied or renamed under the wrong name is a corrupt
-  miss, counted and evicted, exactly like ``DiskCache``), while
-  :meth:`verify` additionally re-hashes every value against ``d`` to
-  catch bit rot.  The hot read path skips the re-hash on purpose: torn
-  writes cannot exist under atomic renames, and re-hashing every warm
-  hit would double its JSON cost (the bench gates warm hits at ≤25%
-  over the flat dir backend).
+  miss, counted and evicted), while :meth:`verify` additionally
+  re-hashes every value against ``d`` to catch bit rot.  The hot read
+  path skips the re-hash on purpose: torn writes cannot exist under
+  atomic renames, and re-hashing every warm hit would double its JSON
+  cost (the bench gates warm hits at ≤25% over the flat dir backend).
 
 The shard count is pinned in a ``_shards.json`` marker at the root so
 every process slicing the tree agrees on the layout; opening an existing
 tier with a conflicting explicit ``shards=`` is an error rather than a
-silent re-hash.  Failure containment mirrors ``DiskCache``: corrupt reads
-are evicted, and ``max_consecutive_errors`` failed writes in a row trip
-the per-process circuit breaker.
+silent re-hash.  Everything else — the read and write paths, corrupt-entry
+eviction, the write breaker and the fault accounting — is
+:class:`~repro.storage.directory.DirectoryBackend`'s, inherited unchanged.
 """
 
 from __future__ import annotations
@@ -39,8 +38,6 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-import threading
-import time
 import zlib
 from contextlib import contextmanager
 from pathlib import Path
@@ -51,9 +48,8 @@ try:
 except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None  # type: ignore[assignment]
 
-from ..runtime.faults import storage_fault
 from ..serving.fingerprint import digest
-from .base import EntryInfo, StorageBackend, check_storable
+from .directory import DirectoryBackend
 
 __all__ = ["ShardedDirectoryBackend"]
 
@@ -61,20 +57,16 @@ _META_NAME = "_shards.json"
 _DEFAULT_SHARDS = 16
 
 
-class ShardedDirectoryBackend(StorageBackend):
+class ShardedDirectoryBackend(DirectoryBackend):
     """Fingerprint-prefix shards with locked atomic writes (see module doc)."""
 
     scheme = "shard"
 
     def __init__(self, directory: str | os.PathLike,
-                 shards: int | None = None,
-                 max_consecutive_errors: int = 5):
+                 shards: int | None = None):
         if shards is not None and shards < 1:
             raise ValueError("shards must be >= 1")
-        if max_consecutive_errors < 1:
-            raise ValueError("max_consecutive_errors must be >= 1")
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
+        super().__init__(directory)
         self.shards = self._pin_shard_count(shards)
         self._width = max(2, len(f"{self.shards - 1:x}"))
         # Shard directories are addressed on every get/put; precompute
@@ -82,23 +74,6 @@ class ShardedDirectoryBackend(StorageBackend):
         self._shard_dirs = [
             self.directory / f"{i:0{self._width}x}"
             for i in range(self.shards)]
-        self.max_consecutive_errors = max_consecutive_errors
-        # Same locking story as DiskCache: the lock guards accounting and
-        # the breaker state; file I/O is safe outside it (atomic renames,
-        # plus the per-shard flock for cross-process writers).
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.read_errors = 0
-        self.write_errors = 0
-        self.consecutive_errors = 0
-        self._tripped = False
-        # Injected-fault accounting (REPRO_FAULTS storage: schedules).
-        self.injected: dict[str, int] = {}
-
-    def _note_injected(self, mode: str) -> None:
-        with self._lock:
-            self.injected[mode] = self.injected.get(mode, 0) + 1
 
     # -- layout --------------------------------------------------------------
 
@@ -143,208 +118,60 @@ class ShardedDirectoryBackend(StorageBackend):
             prefix = zlib.crc32(key.encode("utf-8"))
         return prefix % self.shards
 
-    def _shard_dir(self, key: str) -> Path:
-        return self._shard_dirs[self._shard_index(key)]
-
     def _path(self, key: str) -> Path:
-        return self._shard_dir(key) / f"{key}.json"
+        return self._shard_dirs[self._shard_index(key)] / f"{key}.json"
+
+    def _entry_paths(self) -> list[Path]:
+        paths: list[Path] = []
+        for shard_dir in self.directory.iterdir():
+            if not shard_dir.is_dir():
+                continue
+            try:
+                paths.extend(shard_dir.glob("*.json"))
+            except OSError:
+                continue
+        return paths
 
     @contextmanager
-    def _shard_lock(self, shard_dir: Path) -> Iterator[None]:
-        """Advisory exclusive lock on one shard (no-op where unavailable)."""
-        if fcntl is None:
-            yield
-            return
+    def _write_lock(self, shard_dir: Path) -> Iterator[None]:
+        """Exclusive advisory lock on one shard, created on first use
+        (lock-free where ``flock`` is unavailable)."""
+        shard_dir.mkdir(parents=True, exist_ok=True)
         try:
-            fh = open(shard_dir / ".lock", "a")
+            fh = open(shard_dir / ".lock", "a") if fcntl is not None else None
         except OSError:
+            fh = None
+        if fh is None:
             yield
             return
-        try:
+        with fh:
             try:
                 fcntl.flock(fh, fcntl.LOCK_EX)
             except OSError:
                 pass
-            yield
-        finally:
             try:
-                fcntl.flock(fh, fcntl.LOCK_UN)
-            except OSError:
-                pass
-            fh.close()
-
-    # -- failure accounting (the DiskCache breaker, verbatim) ----------------
-
-    def _record_write_error(self) -> None:
-        with self._lock:
-            self.write_errors += 1
-            self.consecutive_errors += 1
-            if self.consecutive_errors >= self.max_consecutive_errors:
-                self._tripped = True
-
-    @property
-    def tripped(self) -> bool:
-        return self._tripped
-
-    # -- data plane ----------------------------------------------------------
-
-    def get(self, key: str, default: Any = None) -> Any:
-        if self._tripped:
-            with self._lock:
-                self.misses += 1
-            return default
-        mode = storage_fault("get")
-        if mode == "eio":
-            # A transient read failure: counted, but the entry is left in
-            # place — only corrupt entries are evicted.
-            self._note_injected("get")
-            with self._lock:
-                self.read_errors += 1
-                self.misses += 1
-            return default
-        if mode == "busy":
-            self._note_injected("busy")  # lock contention absorbed
-        path = self._path(key)
-        try:
-            with open(path) as fh:
-                envelope = fh.read()
-            entry = json.loads(envelope)
-            value = entry["v"]
-            # Key check only on the hot path; digest re-hash is verify()'s
-            # job (see the module doc for why).
-            ok = entry["k"] == key and "d" in entry
-        except FileNotFoundError:
-            with self._lock:
-                self.misses += 1
-            return default
-        except (OSError, ValueError, TypeError, KeyError):
-            ok = False
-            value = default
-        if not ok:
-            with self._lock:
-                self.read_errors += 1
-                self.misses += 1
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-            return default
-        with self._lock:
-            self.hits += 1
-        return value
-
-    def put(self, key: str, value: Any) -> None:
-        check_storable(value)
-        if self._tripped:
-            return
-        mode = storage_fault("put")
-        if mode == "eio":
-            self._note_injected("put")
-            self._record_write_error()
-            return
-        if mode == "busy":
-            self._note_injected("busy")
-        tmp: str | None = None
-        try:
-            value_text = json.dumps(value)
-            envelope = json.dumps(
-                {"k": key, "d": digest(value_text), "v": value})
-            if mode == "torn":
-                # The rename lands but the envelope is a truncated prefix
-                # (crash mid-write on a non-atomic filesystem); the next
-                # read or verify() flags it corrupt and evicts.
-                self._note_injected("torn")
-                envelope = envelope[:max(1, len(envelope) // 2)]
-            shard_dir = self._shard_dir(key)
-            shard_dir.mkdir(parents=True, exist_ok=True)
-            with self._shard_lock(shard_dir):
-                fd, tmp = tempfile.mkstemp(dir=shard_dir, suffix=".tmp")
-                with os.fdopen(fd, "w") as fh:
-                    fh.write(envelope)
-                os.replace(tmp, shard_dir / f"{key}.json")
-        except (OSError, TypeError, ValueError):
-            self._record_write_error()
-            if tmp is not None:
+                yield
+            finally:
                 try:
-                    os.unlink(tmp)
+                    fcntl.flock(fh, fcntl.LOCK_UN)
                 except OSError:
                     pass
-        else:
-            with self._lock:
-                self.consecutive_errors = 0
 
-    def delete(self, key: str) -> bool:
-        try:
-            os.unlink(self._path(key))
-        except OSError:
-            return False
-        return True
+    # -- the {"k", "d", "v"} envelope ----------------------------------------
 
-    # -- control plane -------------------------------------------------------
+    def _encode(self, key: str, value: Any) -> str:
+        return json.dumps(
+            {"k": key, "d": digest(json.dumps(value)), "v": value})
 
-    def _entries(self) -> Iterator[tuple[str, Path, os.stat_result]]:
-        try:
-            shard_dirs = sorted(
-                p for p in self.directory.iterdir() if p.is_dir())
-        except OSError:
-            return
-        found: list[tuple[str, Path]] = []
-        for shard_dir in shard_dirs:
-            try:
-                found.extend((p.stem, p) for p in shard_dir.glob("*.json"))
-            except OSError:
-                continue
-        for key, path in sorted(found):
-            try:
-                yield key, path, path.stat()
-            except OSError:
-                continue
+    def _decode(self, key: str, text: str, verify: bool = False) -> Any:
+        # Key check only on the hot path; the digest re-hash is verify()'s
+        # job (see the module doc for why).
+        entry = json.loads(text)
+        value, stored = entry["v"], entry["d"]
+        if entry["k"] != key or (
+                verify and digest(json.dumps(value)) != stored):
+            raise ValueError(f"entry {key} fails its envelope check")
+        return value
 
-    def scan(self) -> Iterator[EntryInfo]:
-        for key, _path, st in self._entries():
-            yield EntryInfo(key=key, size=st.st_size, created=st.st_mtime,
-                            last_used=st.st_mtime)
-
-    def stats(self) -> dict[str, Any]:
-        entries = sum(1 for _ in self._entries())
-        with self._lock:
-            return {
-                "backend": self.scheme,
-                "shards": self.shards,
-                "entries": entries,
-                "hits": self.hits,
-                "misses": self.misses,
-                "read_errors": self.read_errors,
-                "write_errors": self.write_errors,
-                "tripped": self._tripped,
-                **({"injected": dict(self.injected)} if self.injected
-                   else {}),
-            }
-
-    def verify(self) -> list[str]:
-        """Corrupt keys: bad JSON, key/digest mismatch, or misfiled shard."""
-        corrupt: list[str] = []
-        for key, path, _st in self._entries():
-            try:
-                with open(path) as fh:
-                    entry = json.load(fh)
-                ok = (entry["k"] == key
-                      and digest(json.dumps(entry["v"])) == entry["d"]
-                      and path.parent == self._shard_dir(key))
-            except (OSError, ValueError, TypeError, KeyError):
-                ok = False
-            if not ok:
-                corrupt.append(key)
-        return corrupt
-
-    def evict_older_than(self, seconds: float) -> int:
-        cutoff = time.time() - seconds
-        evicted = 0
-        for key, path, st in list(self._entries()):
-            if st.st_mtime < cutoff:
-                try:
-                    os.unlink(path)
-                except OSError:
-                    continue
-                evicted += 1
-        return evicted
+    def _store_stats(self) -> dict[str, Any]:
+        return {"shards": self.shards, **super()._store_stats()}

@@ -24,7 +24,9 @@ share one cache tier:
 Values are verified on read: each row stores the SHA-256 digest of its
 payload, so bit rot or a tampered row reads as a miss (counted in
 ``read_errors``) and is evicted.  ``repro cache verify`` re-hashes every
-row through :meth:`SqliteBackend.verify`.
+row through :meth:`SqliteBackend.verify`.  The write breaker is
+:class:`~repro.storage.base.StorageBackend`'s, fed by puts that still
+fail after the busy retry.
 """
 
 from __future__ import annotations
@@ -32,11 +34,9 @@ from __future__ import annotations
 import json
 import os
 import sqlite3
-import threading
 import time
 from typing import Any, Callable, Iterator
 
-from ..runtime.faults import storage_fault
 from ..serving.fingerprint import digest
 from .base import EntryInfo, StorageBackend, check_storable
 
@@ -84,6 +84,7 @@ class SqliteBackend(StorageBackend):
             raise ValueError("max_bytes must be positive")
         if ttl is not None and ttl <= 0:
             raise ValueError("ttl must be positive")
+        super().__init__()
         self.path = str(path)
         self.max_bytes = max_bytes
         self.ttl = ttl
@@ -93,10 +94,10 @@ class SqliteBackend(StorageBackend):
         parent = os.path.dirname(self.path)
         if parent:
             os.makedirs(parent, exist_ok=True)
-        # One connection guarded by one lock: the daemon's request threads
-        # and the batch driver share a backend, and sqlite connections are
-        # not concurrency-safe objects even when the database is.
-        self._lock = threading.RLock()
+        # One connection guarded by the accounting lock: the daemon's
+        # request threads and the batch driver share a backend, and sqlite
+        # connections are not concurrency-safe objects even when the
+        # database is.
         self._conn = sqlite3.connect(
             self.path, timeout=busy_timeout, check_same_thread=False,
             isolation_level=None)  # autocommit; writes use BEGIN IMMEDIATE
@@ -107,21 +108,13 @@ class SqliteBackend(StorageBackend):
         self._conn.execute("PRAGMA synchronous=NORMAL")
         self._closed = False
 
-        # Session accounting (flushed into the stats table in batches).
-        self.hits = 0
-        self.misses = 0
+        # Session accounting beyond the base counters (flushed into the
+        # stats table in batches).
         self.expired = 0
         self.evictions = 0
-        self.read_errors = 0
-        self.write_errors = 0
         self._pending_hits: dict[str, int] = {}
         self._pending_stats: dict[str, int] = {}
         self._unflushed_ops = 0
-        # Injected-fault accounting (REPRO_FAULTS storage: schedules).
-        self.injected: dict[str, int] = {}
-
-    def _note_injected(self, mode: str) -> None:
-        self.injected[mode] = self.injected.get(mode, 0) + 1
 
     # -- busy retry ----------------------------------------------------------
 
@@ -194,16 +187,10 @@ class SqliteBackend(StorageBackend):
         with self._lock:
             if self._closed:
                 return default
-            mode = storage_fault("get")
-            if mode == "eio":
-                # A transient read failure — counted like a real
-                # sqlite3.Error on the SELECT; the row stays.
-                self._note_injected("get")
-                self.read_errors += 1
+            mode = self._admit("get")
+            if mode == "skip":
                 return default
             injected_busy = {"left": 1 if mode == "busy" else 0}
-            if mode == "busy":
-                self._note_injected("busy")
 
             def query():
                 if injected_busy["left"]:
@@ -217,17 +204,17 @@ class SqliteBackend(StorageBackend):
             try:
                 row = self._retry(query)
             except sqlite3.Error:
-                self.read_errors += 1
+                self._record_miss(read_error=True)
                 return default
             if row is None:
-                self.misses += 1
+                self._record_miss()
                 self._bump("misses")
                 self._note_op()
                 return default
             value_text, stored_digest, created = row
             if self.ttl is not None and self._clock() - created > self.ttl:
                 self.expired += 1
-                self.misses += 1
+                self._record_miss()
                 self._bump("misses")
                 self._bump("expired")
                 self._delete_quietly(key)
@@ -240,14 +227,13 @@ class SqliteBackend(StorageBackend):
                 ok = False
             if not ok:
                 # Corrupt row (bit rot, tampering): a miss, plus eviction
-                # so it cannot keep failing — the DiskCache contract.
-                self.read_errors += 1
-                self.misses += 1
+                # so it cannot keep failing — the StorageBackend contract.
+                self._record_miss(read_error=True)
                 self._bump("misses")
                 self._delete_quietly(key)
                 self._note_op()
                 return default
-            self.hits += 1
+            self._record_hit()
             self._bump("hits")
             self._pending_hits[key] = self._pending_hits.get(key, 0) + 1
             self._note_op()
@@ -255,35 +241,26 @@ class SqliteBackend(StorageBackend):
 
     def put(self, key: str, value: Any) -> None:
         check_storable(value)
-        try:
-            value_text = json.dumps(value)
-        except (TypeError, ValueError):
-            with self._lock:
-                self.write_errors += 1
-            return
-        value_digest = digest(value_text)
-        size = len(value_text)
         with self._lock:
             if self._closed:
                 return
-            mode = storage_fault("put")
-            if mode == "eio":
-                # The write fails as with a real sqlite3.Error: counted,
-                # nothing stored.
-                self._note_injected("put")
-                self.write_errors += 1
+            mode = self._admit("put")
+            if mode == "skip":
                 return
+            try:
+                value_text = json.dumps(value)
+            except (TypeError, ValueError):
+                self._record_write_error()
+                return
+            value_digest = digest(value_text)
             if mode == "torn":
                 # The transaction "lands" carrying a truncated payload
                 # against the full-text digest — what bit rot or a torn
                 # page looks like; the next read (or verify) detects the
                 # mismatch and evicts.
-                self._note_injected("torn")
                 value_text = value_text[:max(1, len(value_text) // 2)]
-                size = len(value_text)
+            size = len(value_text)
             injected_busy = {"left": 1 if mode == "busy" else 0}
-            if mode == "busy":
-                self._note_injected("busy")
             now = self._clock()
 
             def write() -> None:
@@ -311,8 +288,9 @@ class SqliteBackend(StorageBackend):
             try:
                 self._retry(write)
             except sqlite3.Error:
-                self.write_errors += 1
+                self._record_write_error()
                 return
+            self._record_write()
             self._bump("puts")
             self._note_op()
 
@@ -373,7 +351,7 @@ class SqliteBackend(StorageBackend):
             yield EntryInfo(key=key, size=size, created=created,
                             last_used=last_used, hits=hits)
 
-    def stats(self) -> dict[str, Any]:
+    def _store_stats(self) -> dict[str, Any]:
         with self._lock:
             if self._closed:
                 entries, total_bytes, lifetime = 0, 0, {}
@@ -386,23 +364,15 @@ class SqliteBackend(StorageBackend):
                 lifetime = dict(self._retry(lambda: self._conn.execute(
                     "SELECT name, value FROM stats").fetchall()))
             return {
-                "backend": self.scheme,
                 "path": self.path,
                 "entries": entries,
                 "total_bytes": total_bytes,
                 "max_bytes": self.max_bytes,
                 "ttl": self.ttl,
-                "hits": self.hits,
-                "misses": self.misses,
                 "expired": self.expired,
                 "evictions": self.evictions,
-                "read_errors": self.read_errors,
-                "write_errors": self.write_errors,
-                "tripped": False,
                 "lifetime": {name: lifetime.get(name, 0)
                              for name in _LIFETIME_KEYS},
-                **({"injected": dict(self.injected)} if self.injected
-                   else {}),
             }
 
     def verify(self) -> list[str]:

@@ -1,16 +1,18 @@
-"""LRU / disk caches and the memoized ontology->rules conversion."""
+"""LRU / answer caches, the flat directory backend, and the memoized
+ontology->rules conversion."""
 
 import json
-
-import pytest
 
 from repro.logic.ontology import ontology
 from repro.semantics.rules import render_rules
 from repro.serving import (
-    AnswerCache, DiskCache, LRUCache, clear_caches, conversion_cache_stats,
+    AnswerCache, LRUCache, clear_caches, conversion_cache_stats,
     convert_ontology_cached,
 )
 from repro.serving import cache as cache_mod
+from repro.storage import DirectoryBackend
+
+THRESHOLD = DirectoryBackend.BREAKER_THRESHOLD
 
 HORN = "forall x (x = x -> (Hand(x) -> exists y (hasFinger(x,y) & Thumb(y))))"
 DISJ = "forall x (x = x -> (Coin(x) -> Heads(x) | Tails(x)))"
@@ -53,27 +55,30 @@ class TestLRUCache:
 
 
 class TestDiskCache:
+    """The flat-directory contract the old ``DiskCache`` class defined,
+    now :class:`DirectoryBackend`'s own."""
+
     def test_round_trip(self, tmp_path):
-        d = DiskCache(tmp_path / "cache")
+        d = DirectoryBackend(tmp_path / "cache")
         assert d.get("k1") is None
         d.put("k1", {"answers": [["h"]], "verdict": "ok"})
         assert d.get("k1") == {"answers": [["h"]], "verdict": "ok"}
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
-        d = DiskCache(tmp_path / "cache")
+        d = DirectoryBackend(tmp_path / "cache")
         d.put("k1", {"x": 1})
         [path] = list((tmp_path / "cache").iterdir())
         path.write_text("{not json", encoding="utf-8")
         assert d.get("k1") is None
 
     def test_entries_are_valid_json_files(self, tmp_path):
-        d = DiskCache(tmp_path / "cache")
+        d = DirectoryBackend(tmp_path / "cache")
         d.put("k1", [1, 2, 3])
         [path] = list((tmp_path / "cache").iterdir())
         assert json.loads(path.read_text(encoding="utf-8")) == [1, 2, 3]
 
     def test_corrupt_entry_is_counted_and_evicted(self, tmp_path):
-        d = DiskCache(tmp_path / "cache")
+        d = DirectoryBackend(tmp_path / "cache")
         d.put("k1", {"x": 1})
         [path] = list((tmp_path / "cache").iterdir())
         path.write_text('{"x": 1, "trunc', encoding="utf-8")  # torn write
@@ -86,16 +91,16 @@ class TestDiskCache:
         assert d.stats()["read_errors"] == 1
 
     def test_plain_miss_is_not_a_read_error(self, tmp_path):
-        d = DiskCache(tmp_path / "cache")
+        d = DirectoryBackend(tmp_path / "cache")
         assert d.get("absent") is None
         assert d.misses == 1 and d.read_errors == 0
 
     def test_write_failures_trip_the_circuit_breaker(self, tmp_path):
-        d = DiskCache(tmp_path / "cache", max_consecutive_errors=3)
+        d = DirectoryBackend(tmp_path / "cache")
         unserializable = object()
-        for _ in range(3):
-            d.put("k", unserializable)  # TypeError inside json.dump
-        assert d.write_errors == 3
+        for _ in range(THRESHOLD):
+            d.put("k", unserializable)  # TypeError inside json.dumps
+        assert d.write_errors == THRESHOLD
         assert d.tripped and d.stats()["tripped"] is True
         # Tripped: the disk is never touched again this process.
         d.put("k2", {"ok": 1})
@@ -103,15 +108,12 @@ class TestDiskCache:
         assert d.get("k2") is None  # every get is a miss
 
     def test_successful_write_resets_the_error_streak(self, tmp_path):
-        d = DiskCache(tmp_path / "cache", max_consecutive_errors=2)
-        d.put("bad", object())
+        d = DirectoryBackend(tmp_path / "cache")
+        for _ in range(THRESHOLD - 1):
+            d.put("bad", object())
         d.put("good", {"ok": 1})  # streak broken
         d.put("bad", object())
-        assert d.write_errors == 2 and not d.tripped
-
-    def test_max_consecutive_errors_validated(self, tmp_path):
-        with pytest.raises(ValueError):
-            DiskCache(tmp_path / "cache", max_consecutive_errors=0)
+        assert d.write_errors == THRESHOLD and not d.tripped
 
 
 class TestAnswerCache:
@@ -127,12 +129,13 @@ class TestAnswerCache:
         assert c.get(k) == {"verdict": "ok"}
 
     def test_disk_layer_backfills_memory(self, tmp_path):
-        disk = DiskCache(tmp_path / "c")
-        warm = AnswerCache(maxsize=8, disk=disk)
+        warm = AnswerCache(maxsize=8,
+                           backend=DirectoryBackend(tmp_path / "c"))
         k = AnswerCache.key("omq", "inst")
         warm.put(k, {"verdict": "ok"})
         # A fresh in-memory cache over the same directory sees the entry.
-        cold = AnswerCache(maxsize=8, disk=DiskCache(tmp_path / "c"))
+        cold = AnswerCache(maxsize=8,
+                           backend=DirectoryBackend(tmp_path / "c"))
         assert cold.get(k) == {"verdict": "ok"}
         # ...and it is now resident in memory too.
         assert cold.memory.get(k) is not None

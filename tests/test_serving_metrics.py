@@ -1,4 +1,4 @@
-"""Metrics, DiskCache write errors, memo metric isolation and thread
+"""Metrics, directory-backend write errors, memo metric isolation and thread
 safety of the process-global serving caches."""
 
 import threading
@@ -8,11 +8,12 @@ import pytest
 from repro.logic.instance import make_instance
 from repro.logic.ontology import ontology
 from repro.serving import (
-    AnswerCache, Counter, DiskCache, Gauge, Histogram, MetricsRegistry,
+    AnswerCache, Counter, Gauge, Histogram, MetricsRegistry,
     clear_caches, compile_omq, convert_ontology_cached, prometheus_name,
     render_prometheus,
 )
 from repro.serving.plan import _plan_cache
+from repro.storage import DirectoryBackend
 
 ONTO = ontology(
     "forall x (Hand(x) -> exists y (hasFinger(x,y)))", name="hands")
@@ -189,12 +190,12 @@ def test_render_prometheus_empty_histogram_has_no_quantiles():
     assert "quantile" not in text
 
 
-# -- DiskCache.put (satellite bugfix) -----------------------------------------
+# -- DirectoryBackend.put write errors ---------------------------------------
 
 
 def test_disk_cache_put_survives_unserializable_value(tmp_path):
-    cache = DiskCache(tmp_path)
-    cache.put("bad", {"oops": object()})  # TypeError inside json.dump
+    cache = DirectoryBackend(tmp_path)
+    cache.put("bad", {"oops": object()})  # TypeError inside json.dumps
     assert cache.write_errors == 1
     assert cache.stats()["write_errors"] == 1
     # The temp file was unlinked, not leaked into the cache directory.
@@ -208,7 +209,7 @@ def test_disk_cache_put_survives_unserializable_value(tmp_path):
 
 
 def test_disk_cache_put_survives_unwritable_directory(tmp_path):
-    cache = DiskCache(tmp_path)
+    cache = DirectoryBackend(tmp_path)
     cache.put("k", {"v": 1})
     import shutil
     shutil.rmtree(tmp_path)  # mkstemp now fails with OSError
@@ -217,7 +218,7 @@ def test_disk_cache_put_survives_unwritable_directory(tmp_path):
 
 
 def test_answer_cache_swallows_disk_write_errors(tmp_path):
-    cache = AnswerCache(disk=DiskCache(tmp_path))
+    cache = AnswerCache(backend=DirectoryBackend(tmp_path))
     value = {"v": object()}
     cache.put("k", value)  # memory accepts it, disk cannot serialize it
     assert cache.get("k") == value

@@ -16,7 +16,6 @@ import pytest
 from repro.logic.ontology import ontology
 from repro.obs import Tracer
 from repro.serving import AnswerCache, Job, clear_caches, evaluate_batch
-from repro.serving.cache import DiskCache
 from repro.serving.fingerprint import digest
 from repro.serving.plan import compile_omq
 from repro.storage import (
@@ -217,19 +216,23 @@ def test_check_storable_passes_definitive_and_plain_values():
         check_storable({"verdict": "unknown"})
 
 
-# -- DirectoryBackend: DiskCache semantics preserved -------------------------
+# -- DirectoryBackend: the flat <key>.json format ----------------------------
 
 
 class TestDirectoryBackend:
     def test_byte_compatible_with_disk_cache(self, tmp_path):
-        # A directory populated by the pre-storage DiskCache is a valid
-        # dir: backend, and vice versa.
-        disk = DiskCache(tmp_path / "d")
-        disk.put(KEY, VALUE)
+        # A flat directory of <key>.json files, as every release before
+        # the storage layer wrote it, is a valid dir: backend, and the
+        # backend writes exactly those bytes back.
+        (tmp_path / "d").mkdir()
+        (tmp_path / "d" / f"{KEY}.json").write_text(json.dumps(VALUE))
         backend = DirectoryBackend(tmp_path / "d")
         assert backend.get(KEY) == VALUE
         backend.put(KEY2, {"verdict": "no"})
-        assert DiskCache(tmp_path / "d").get(KEY2) == {"verdict": "no"}
+        assert ((tmp_path / "d" / f"{KEY2}.json").read_text()
+                == json.dumps({"verdict": "no"}))
+        assert sorted(p.name for p in (tmp_path / "d").iterdir()) == [
+            f"{KEY}.json", f"{KEY2}.json"]
 
     def test_corrupt_entry_evicted_and_counted(self, tmp_path):
         backend = DirectoryBackend(tmp_path / "d")
@@ -246,9 +249,9 @@ class TestDirectoryBackend:
         assert backend.verify() == [KEY2]
 
     def test_circuit_breaker_surfaces_as_tripped(self, tmp_path):
-        backend = DirectoryBackend(tmp_path / "d", max_consecutive_errors=2)
+        backend = DirectoryBackend(tmp_path / "d")
         assert backend.tripped is False
-        backend._disk.tripped = True
+        backend.tripped = True
         assert backend.tripped is True
         assert backend.stats()["tripped"] is True
 
@@ -389,21 +392,22 @@ class TestShardedBackend:
 
     def test_breaker_trips_after_consecutive_write_failures(
             self, tmp_path, monkeypatch):
-        backend = ShardedDirectoryBackend(tmp_path / "s", shards=2,
-                                          max_consecutive_errors=2)
+        backend = ShardedDirectoryBackend(tmp_path / "s", shards=2)
+        threshold = backend.BREAKER_THRESHOLD
 
         def boom(*a, **k):
             raise OSError("disk on fire")
 
         monkeypatch.setattr(os, "replace", boom)
-        backend.put(KEY, VALUE)
+        for _ in range(threshold - 1):
+            backend.put(KEY, VALUE)
         assert backend.tripped is False
         backend.put(KEY2, VALUE)
         assert backend.tripped is True
         monkeypatch.undo()
         backend.put(KEY, VALUE)  # no-op once tripped
         assert backend.get(KEY) is None
-        assert backend.stats()["write_errors"] == 2
+        assert backend.stats()["write_errors"] == threshold
 
 
 # -- AnswerCache integration -------------------------------------------------
@@ -491,7 +495,7 @@ class TestServingWiring:
 
     def test_tripped_flag_propagates_and_logs_once(self, tmp_path):
         backend = DirectoryBackend(tmp_path / "d")
-        backend._disk.tripped = True  # a dead cache volume, pre-tripped
+        backend.tripped = True  # a dead cache volume, pre-tripped
         cache = AnswerCache(backend=backend)
         tracer = Tracer()
         report = evaluate_batch(ONTO, JOBS, answer_cache=cache,

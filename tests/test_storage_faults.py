@@ -17,7 +17,7 @@ import repro.runtime.faults as faults
 from repro.runtime.faults import parse_faults
 from repro.serving.fingerprint import digest
 from repro.storage import (
-    DirectoryBackend, ShardedDirectoryBackend, SqliteBackend,
+    DirectoryBackend, ShardedDirectoryBackend, SqliteBackend, StorageBackend,
 )
 
 VALUE = {"verdict": "yes", "answers": [["a"]], "pad": "x" * 64}
@@ -141,6 +141,61 @@ class TestInjectedModes:
             with pytest.raises(RuntimeError):
                 backend.put(digest("k7"), VALUE)
         assert killed == ["storage:put"]
+
+
+@pytest.mark.parametrize("kind", BACKENDS)
+class TestFailureContract:
+    """One failure semantics for every backend: a failed read is a counted
+    miss, BREAKER_THRESHOLD failed puts in a row trip the write breaker,
+    and a tripped backend answers without touching the fault plan."""
+
+    def test_failed_read_is_a_miss(self, kind, tmp_path, monkeypatch):
+        with make_backend(kind, tmp_path) as backend:
+            set_faults(monkeypatch, "storage:get:@1")
+            assert backend.get(digest("c1")) is None
+            assert backend.misses == 1
+            assert backend.read_errors == 1
+
+    def test_put_failures_trip_the_breaker_at_threshold(
+            self, kind, tmp_path, monkeypatch):
+        threshold = StorageBackend.BREAKER_THRESHOLD
+        with make_backend(kind, tmp_path) as backend:
+            set_faults(monkeypatch, "storage:put")
+            for i in range(threshold + 2):
+                backend.put(digest(f"c{i}"), VALUE)
+            stats = backend.stats()
+            assert backend.tripped is True and stats["tripped"] is True
+            # The last two puts were no-ops: neither counted nor injected.
+            assert stats["write_errors"] == threshold
+            assert stats["injected"]["put"] == threshold
+
+    def test_successful_put_resets_the_streak(
+            self, kind, tmp_path, monkeypatch):
+        threshold = StorageBackend.BREAKER_THRESHOLD
+        with make_backend(kind, tmp_path) as backend:
+            for round_ in range(2):
+                set_faults(monkeypatch, "storage:put")
+                for i in range(threshold - 1):
+                    backend.put(digest(f"r{round_}-{i}"), VALUE)
+                clear_faults(monkeypatch)
+                backend.put(digest(f"ok{round_}"), VALUE)
+            assert backend.write_errors == 2 * (threshold - 1)
+            assert backend.tripped is False
+
+    def test_tripped_backend_skips_the_fault_plan(
+            self, kind, tmp_path, monkeypatch):
+        key = digest("c-tripped")
+        with make_backend(kind, tmp_path) as backend:
+            backend.put(key, VALUE)
+            backend.tripped = True
+            set_faults(monkeypatch, "storage:get,storage:put")
+            assert backend.get(key, "missing") == "missing"
+            backend.put(digest("c-after"), VALUE)
+            assert backend.misses == 1 and backend.hits == 0
+            assert backend.read_errors == 0 and backend.write_errors == 0
+            assert backend.injected == {}
+            clear_faults(monkeypatch)
+            assert backend.get(digest("c-after")) is None
 
 
 @pytest.mark.parametrize("kind", ["sqlite", "shard"])
