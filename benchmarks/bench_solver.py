@@ -33,7 +33,7 @@ import time
 import pytest
 
 from repro.csp import clique_template, encode_template, random_graph_instance
-from repro.datalog.engine import _fire, evaluate, join_counter
+from repro.datalog.engine import evaluate, join_counter
 from repro.datalog.program import Program, Rule
 from repro.logic.instance import Interpretation
 from repro.logic.syntax import Atom, Const, Not, Var
@@ -151,6 +151,12 @@ def _legacy_match_body(rule, facts, delta):
     yield from rec(0, {}, False)
 
 
+def _legacy_fire(rule, env):
+    """The pre-overhaul engine's head instantiation, kept with it."""
+    args = tuple(env[t] if isinstance(t, Var) else t for t in rule.head.args)
+    return Atom(rule.head.pred, args)
+
+
 def _legacy_evaluate(program: Program,
                      instance: Interpretation) -> Interpretation:
     """The pre-overhaul semi-naive loop (no strata), verbatim modulo the
@@ -161,7 +167,7 @@ def _legacy_evaluate(program: Program,
         new_delta = Interpretation()
         for rule in program.rules:
             for env in _legacy_match_body(rule, facts, delta):
-                fact = _fire(rule, env)
+                fact = _legacy_fire(rule, env)
                 if fact not in facts:
                     new_delta.add(fact)
         for fact in new_delta:

@@ -194,13 +194,21 @@ class TypeRewriting:
         self, cnf: CNF, projection: list[int],
     ) -> list[tuple[bool, ...]]:
         """All solution projections onto the given variables, found on one
-        incremental solver that blocks each projection in place."""
+        incremental solver that blocks each projection in place.
+
+        Raises ``ValueError`` when there are more than
+        ``enumeration_limit`` of them: a truncated type set would make the
+        type-elimination fixpoint over-report certain answers."""
         out: list[tuple[bool, ...]] = []
         solver = Solver(cnf.num_vars, cnf.clauses)
-        while len(out) < self.enumeration_limit:
+        while True:
             assignment = solver.solve()
             if assignment is None:
                 break
+            if len(out) == self.enumeration_limit:
+                raise ValueError(
+                    f"more than {self.enumeration_limit} types "
+                    "(enumeration_limit): the type set would be truncated")
             bits = tuple(assignment[v] for v in projection)
             out.append(bits)
             solver.add_clause(

@@ -21,20 +21,32 @@ non-seed atom pulls its candidates from the interpretation's
 ``(pred, position, value)`` hash indexes (:class:`repro.logic.instance.
 Interpretation`), never from a scan.
 
+A program is compiled once (:func:`compile_program`) into join plans that
+every later evaluation reuses: body variables become integer slots of a
+flat environment list, and each join step knows in advance which
+argument positions are constants, already-bound slots, new bindings or
+repeats of a variable bound earlier in the same atom.  Rules whose
+bodies are equal up to variable renaming share one compiled body: it is
+joined once and every head fires from each match.  The compiled form is
+cached on the :class:`~repro.datalog.program.Program` object itself, so
+it lives and dies with the program and never enters its pickles,
+equality or hash.
+
 ``join_counter`` counts candidate tuples touched; the differential test
 suite uses it to assert that round work scales with ``|delta|`` and the
 ``datalog.round`` tracer spans record it per round for ``repro trace
-summarize`` profiles.
+summarize`` profiles.  A shared body is counted once per join, however
+many heads it fires.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Callable, Iterator
 
 from ..logic.instance import Interpretation
 from ..logic.syntax import Atom, Element, Var
 from ..obs import current_tracer
-from .program import Neq, Program, Rule
+from .program import BodyLiteral, Neq, Program, Rule
 
 
 class JoinCounter:
@@ -63,122 +75,293 @@ class JoinCounter:
 #: Global join-work counters (reset via ``join_counter.reset()``).
 join_counter = JoinCounter()
 
-
-class _AtomPlan:
-    """Pre-extracted match structure of one relational body atom."""
-
-    __slots__ = ("pred", "consts", "var_terms", "vars")
-
-    def __init__(self, atom: Atom):
-        self.pred = atom.pred
-        # (position, value) for constant/null arguments.
-        self.consts = tuple(
-            (pos, term) for pos, term in enumerate(atom.args)
-            if not isinstance(term, Var))
-        # (position, var) for variable arguments, repeats included.
-        self.var_terms = tuple(
-            (pos, term) for pos, term in enumerate(atom.args)
-            if isinstance(term, Var))
-        self.vars = frozenset(v for _, v in self.var_terms)
+# Where a join step reads its candidates from (see the module docstring).
+_FULL, _DELTA, _OLD = 0, 1, 2
 
 
-def _check_neqs(neqs: tuple[Neq, ...], env: dict[Var, Element]) -> bool:
-    for neq in neqs:
-        left = neq.left
-        if isinstance(left, Var):
-            try:
-                left = env[left]
-            except KeyError:
-                raise ValueError(
-                    f"unsafe rule: inequality variable {left!r} is not "
-                    "bound by any relational body atom") from None
-        right = neq.right
-        if isinstance(right, Var):
-            try:
-                right = env[right]
-            except KeyError:
-                raise ValueError(
-                    f"unsafe rule: inequality variable {right!r} is not "
-                    "bound by any relational body atom") from None
-        if left == right:
-            return False
-    return True
+class _Step:
+    """One relational atom of a join order, with its argument positions
+    split by what is known about them before the step runs."""
+
+    __slots__ = ("pred", "source", "consts", "const_keys", "bound",
+                 "checked", "binds", "repeats")
+
+    def __init__(self, pred: str, args: tuple, source: int,
+                 bound_before: set[int]):
+        self.pred = pred
+        self.source = source
+        # (position, element) for constant arguments, and their index keys.
+        self.consts = tuple((p, a) for p, a in enumerate(args)
+                            if a.__class__ is not int)
+        self.const_keys = tuple((pred, p, a) for p, a in self.consts)
+        # (position, slot) for variables bound by an earlier step.
+        self.bound = tuple((p, a) for p, a in enumerate(args)
+                           if a.__class__ is int and a in bound_before)
+        # With one known position its index bucket already agrees on it.
+        self.checked = len(self.consts) + len(self.bound) > 1
+        binds: list[tuple[int, int]] = []
+        repeats: list[tuple[int, int]] = []
+        first: dict[int, int] = {}
+        for p, a in enumerate(args):
+            if a.__class__ is int and a not in bound_before:
+                if a in first:
+                    repeats.append((p, first[a]))
+                else:
+                    first[a] = p
+                    binds.append((p, a))
+        # (position, slot) for the first occurrence of each new variable,
+        # and (position, earlier position) for its repeats in this atom.
+        self.binds = tuple(binds)
+        self.repeats = tuple(repeats)
 
 
-def _seed_order(plans: list[_AtomPlan], seed: int) -> list[int]:
+def _steps(atoms: tuple, order, seed: int) -> tuple[_Step, ...]:
+    """The steps of one join order; *seed* is the delta atom's authoring
+    index, or -1 for a join over the full fact set."""
+    bound: set[int] = set()
+    steps = []
+    for j in order:
+        pred, args = atoms[j]
+        if seed < 0:
+            source = _FULL
+        else:
+            source = _DELTA if j == seed else _OLD if j < seed else _FULL
+        steps.append(_Step(pred, args, source, bound))
+        bound.update(a for a in args if a.__class__ is int)
+    return tuple(steps)
+
+
+def _seed_order(atom_vars: list[frozenset[int]], seed: int) -> list[int]:
     """Join order for one seed: the delta atom first, then greedily the
     atom sharing the most already-bound variables (fewest new variables,
     then authoring order, as tie-breaks)."""
-    remaining = [i for i in range(len(plans)) if i != seed]
+    remaining = [i for i in range(len(atom_vars)) if i != seed]
     order = [seed]
-    bound = set(plans[seed].vars)
+    bound = set(atom_vars[seed])
     while remaining:
         def gain(i: int) -> tuple:
-            vs = plans[i].vars
+            vs = atom_vars[i]
             return (-len(vs & bound), len(vs - bound), i)
         nxt = min(remaining, key=gain)
         order.append(nxt)
         remaining.remove(nxt)
-        bound |= plans[nxt].vars
+        bound |= atom_vars[nxt]
     return order
 
 
-def _join(
-    plans: list[_AtomPlan],
-    order: list[int],
-    facts: Interpretation,
-    delta: Interpretation | None,
-    seed: int,
-    neqs: tuple[Neq, ...],
-) -> Iterator[dict[Var, Element]]:
-    """Backtracking join over *order*; the atom at *seed* reads the delta,
-    atoms before it (in authoring order) read old facts only."""
-    env: dict[Var, Element] = {}
-    counter = join_counter
-    n = len(order)
+class _Body:
+    """A rule body compiled once: ``(seed predicate, steps)`` per
+    semi-naive seed, and the authoring-order steps of naive evaluation
+    (built on first use)."""
 
-    def rec(k: int) -> Iterator[dict[Var, Element]]:
-        if k == n:
-            if _check_neqs(neqs, env):
-                counter.matches += 1
-                yield dict(env)
+    __slots__ = ("atoms", "neqs", "nslots", "seeded", "_naive")
+
+    def __init__(self, atoms: tuple, neqs: tuple, nslots: int):
+        self.atoms = atoms
+        self.neqs = neqs
+        self.nslots = nslots
+        atom_vars = [frozenset(a for a in args if a.__class__ is int)
+                     for _, args in atoms]
+        if atoms:
+            self.seeded = tuple(
+                (atoms[seed][0],
+                 _steps(atoms, _seed_order(atom_vars, seed), seed))
+                for seed in range(len(atoms)))
+        else:
+            # A body of builtins only matches whenever its (constant)
+            # inequalities do.  Firing is idempotent, so re-matching it
+            # each round only re-derives an already-known head fact.
+            self.seeded = ((None, ()),)
+        self._naive: tuple[_Step, ...] | None = None
+
+    def match(self, facts: Interpretation, delta: Interpretation | None,
+              emit: Callable[[list], None]) -> None:
+        """Call *emit* with the environment of every satisfying assignment.
+
+        With *delta* given, the delta drives the join (semi-naive): every
+        match grounds at least one relational atom inside the delta, and
+        each such match is emitted exactly once.  *emit* must not keep the
+        environment list: the join overwrites it in place.
+        """
+        env = [None] * self.nslots
+        if delta is None:
+            # Naive full join in authoring order (the optimizer's
+            # order_body already placed bound-first atoms up front).
+            if self._naive is None:
+                self._naive = _steps(self.atoms, range(len(self.atoms)), -1)
+            _join(self._naive, self.neqs, facts, None, env, emit)
             return
-        j = order[k]
-        plan = plans[j]
-        rel = delta if (delta is not None and j == seed) else facts
-        old_only = delta is not None and j < seed
-        bound = list(plan.consts)
-        for pos, v in plan.var_terms:
-            value = env.get(v)
-            if value is not None:
-                bound.append((pos, value))
-        for args in rel.candidate_tuples(plan.pred, bound):
-            counter.candidates += 1
-            if old_only and delta.has_tuple(plan.pred, args):
-                continue  # already enumerated with an earlier seed
-            newly = []
-            ok = True
-            for pos, c in plan.consts:
-                value = args[pos]
-                if value is not c and value != c:
-                    ok = False
-                    break
-            if ok:
-                for pos, v in plan.var_terms:
-                    value = args[pos]
-                    cur = env.get(v)
-                    if cur is None:
-                        env[v] = value
-                        newly.append(v)
-                    elif cur is not value and cur != value:
-                        ok = False
-                        break
-            if ok:
-                yield from rec(k + 1)
-            for v in newly:
-                del env[v]
+        in_delta = delta.join_index()[0]
+        for seed_pred, steps in self.seeded:
+            if seed_pred is None or seed_pred in in_delta:
+                _join(steps, self.neqs, facts, delta, env, emit)
 
-    yield from rec(0)
+
+def _join(steps: tuple[_Step, ...], neqs: tuple, facts: Interpretation,
+          delta: Interpretation | None, env: list,
+          emit: Callable[[list], None]) -> None:
+    """The join kernel: backtracking over *steps*, binding slots of *env*
+    in place, with the inequalities *neqs* filtering each complete
+    assignment.  A ``_DELTA`` step reads *delta*; an ``_OLD`` step reads
+    *facts* and skips tuples in *delta*.  Each step draws its candidates
+    from the smallest index bucket over its known positions, exactly as
+    :meth:`Interpretation.candidate_tuples` does."""
+    n = len(steps)
+    counter = join_counter
+    full = facts.join_index()
+    new = delta.join_index() if delta is not None else full
+
+    def rec(k: int) -> None:
+        if k == n:
+            for left, right in neqs:
+                if left.__class__ is int:
+                    left = env[left]
+                if right.__class__ is int:
+                    right = env[right]
+                if left is right or left == right:
+                    return
+            counter.matches += 1
+            emit(env)
+            return
+        step = steps[k]
+        pred = step.pred
+        by_pred, index = new if step.source == _DELTA else full
+        candidates = by_pred.get(pred)
+        if not candidates:
+            return
+        size = len(candidates)
+        for key in step.const_keys:
+            bucket = index.get(key)
+            if bucket is None:
+                return
+            if len(bucket) < size:
+                candidates, size = bucket, len(bucket)
+        for p, s in step.bound:
+            bucket = index.get((pred, p, env[s]))
+            if bucket is None:
+                return
+            if len(bucket) < size:
+                candidates, size = bucket, len(bucket)
+        counter.candidates += size
+        if step.checked:
+            check = step.consts + tuple([(p, env[s]) for p, s in step.bound])
+        else:
+            check = ()
+        skip = new[0].get(pred, ()) if step.source == _OLD else ()
+        binds, repeats = step.binds, step.repeats
+        for args in candidates:
+            if args in skip:
+                continue  # already enumerated with an earlier seed
+            for p, value in check:
+                a = args[p]
+                if a is not value and a != value:
+                    break
+            else:
+                for p, q in repeats:
+                    a, b = args[p], args[q]
+                    if a is not b and a != b:
+                        break
+                else:
+                    for p, s in binds:
+                        env[s] = args[p]
+                    rec(k + 1)
+
+    rec(0)
+
+
+def _compile_body(body: tuple[BodyLiteral, ...]) -> tuple[tuple, dict]:
+    """The canonical form of a body: variables numbered by first occurrence
+    in the relational atoms, so bodies equal up to renaming get the same
+    key.  Returns the key and the rule's variable-to-slot map.
+
+    In compiled atoms, heads and inequalities an ``int`` argument is an
+    environment slot and anything else a constant (elements are never
+    ints)."""
+    slots: dict[Var, int] = {}
+    atoms = []
+    for lit in body:
+        if isinstance(lit, Atom):
+            args = tuple(slots.setdefault(t, len(slots))
+                         if isinstance(t, Var) else t for t in lit.args)
+            atoms.append((lit.pred, args))
+    neqs = []
+    for lit in body:
+        if isinstance(lit, Neq):
+            sides = []
+            for t in (lit.left, lit.right):
+                if isinstance(t, Var):
+                    if t not in slots:
+                        # A rule that bypassed Rule/Program validation.
+                        raise ValueError(
+                            f"unsafe rule: inequality variable {t!r} is "
+                            "not bound by any relational body atom")
+                    t = slots[t]
+                sides.append(t)
+            neqs.append(tuple(sides))
+    return (tuple(atoms), tuple(neqs)), slots
+
+
+class CompiledProgram:
+    """The join plans of one program, shared by every evaluation of it.
+
+    ``rule_body[i]`` is the compiled body of rule ``i`` and
+    ``rule_head[i]`` its head as ``(pred, slotted args)``; rules with
+    bodies equal up to renaming share one :class:`_Body`.
+    """
+
+    __slots__ = ("rule_body", "rule_head", "_groups")
+
+    def __init__(self, rules: tuple[Rule, ...]):
+        bodies: dict[tuple, _Body] = {}
+        self.rule_body: list[_Body] = []
+        self.rule_head: list[tuple[str, tuple]] = []
+        for rule in rules:
+            key, slots = _compile_body(rule.body)
+            body = bodies.get(key)
+            if body is None:
+                body = bodies[key] = _Body(*key, nslots=len(slots))
+            head_args = tuple(slots[t] if isinstance(t, Var) else t
+                              for t in rule.head.args)
+            self.rule_body.append(body)
+            self.rule_head.append((rule.head.pred, head_args))
+        self._groups: dict = {}
+
+    def groups(self, rule_ids: tuple[int, ...]
+               ) -> tuple[tuple[_Body, tuple], ...]:
+        """The rules *rule_ids* as ``(body, heads)`` groups, one per
+        distinct body, in order of first appearance."""
+        cached = self._groups.get(rule_ids)
+        if cached is None:
+            heads: dict[_Body, list] = {}
+            for i in rule_ids:
+                heads.setdefault(self.rule_body[i], []).append(
+                    self.rule_head[i])
+            cached = self._groups[rule_ids] = tuple(
+                (body, tuple(hs)) for body, hs in heads.items())
+        return cached
+
+
+def compile_program(program: Program) -> CompiledProgram:
+    """The program's compiled join plans, built on first use and cached on
+    the program object (``Program.__getstate__`` leaves them out)."""
+    compiled = program.__dict__.get("_compiled")
+    if compiled is None:
+        compiled = CompiledProgram(program.rules)
+        object.__setattr__(program, "_compiled", compiled)
+    return compiled
+
+
+def _fire_into(heads: tuple, facts: Interpretation,
+               sink: Callable[[Atom], None]) -> Callable[[list], None]:
+    """An ``emit`` callback deriving every head from one match and passing
+    each fact not yet in *facts* to *sink*."""
+    def emit(env: list) -> None:
+        for pred, spec in heads:
+            args = tuple([env[t] if t.__class__ is int else t
+                          for t in spec])
+            if not facts.has_tuple(pred, args):
+                sink(Atom(pred, args))
+    return emit
 
 
 def _match_body(
@@ -186,39 +369,14 @@ def _match_body(
     facts: Interpretation,
     delta: Interpretation | None,
 ) -> Iterator[dict[Var, Element]]:
-    """Enumerate satisfying assignments for a rule body.
-
-    With *delta* given, the delta drives the join (semi-naive): every
-    yielded assignment grounds at least one relational atom inside the
-    delta, and each such assignment is yielded exactly once.  Inequality
-    literals filter at the end of each complete assignment.
-    """
-    atoms = [lit for lit in rule.body if isinstance(lit, Atom)]
-    neqs = tuple(lit for lit in rule.body if isinstance(lit, Neq))
-    plans = [_AtomPlan(a) for a in atoms]
-
-    if delta is None:
-        # Naive full join in authoring order (the optimizer's order_body
-        # already placed bound-first atoms up front where it ran).
-        yield from _join(plans, list(range(len(atoms))), facts, None, -1, neqs)
-        return
-    if not atoms:
-        # A body of builtins only: matches whenever the (constant)
-        # inequalities do.  Firing is idempotent, so re-yielding each
-        # round only re-derives an already-known head fact.
-        if _check_neqs(neqs, {}):
-            yield {}
-        return
-    for seed in range(len(atoms)):
-        if delta.count(plans[seed].pred) == 0:
-            continue
-        yield from _join(plans, _seed_order(plans, seed), facts, delta,
-                         seed, neqs)
-
-
-def _fire(rule: Rule, env: dict[Var, Element]) -> Atom:
-    args = tuple(env[t] if isinstance(t, Var) else t for t in rule.head.args)
-    return Atom(rule.head.pred, args)
+    """Enumerate satisfying assignments of one rule body as variable
+    bindings — the compiled kernel seen one rule at a time (tests)."""
+    key, slots = _compile_body(rule.body)
+    envs: list[list] = []
+    _Body(*key, nslots=len(slots)).match(
+        facts, delta, lambda env: envs.append(list(env)))
+    for env in envs:
+        yield {v: env[s] for v, s in slots.items()}
 
 
 def evaluate(program: Program, instance: Interpretation,
@@ -244,6 +402,7 @@ def evaluate(program: Program, instance: Interpretation,
     """
     if tracer is None:
         tracer = current_tracer()
+    compiled = compile_program(program)
     facts = instance.copy()
     rounds = 0
     counter = join_counter
@@ -251,10 +410,9 @@ def evaluate(program: Program, instance: Interpretation,
                      semi_naive=semi_naive, edb=len(facts),
                      strata=len(strata) if strata is not None else 1) as span:
         if semi_naive:
-            rule_groups = (
-                [[program.rules[i] for i in stratum] for stratum in strata]
-                if strata is not None else [list(program.rules)])
-            for rules in rule_groups:
+            for stratum in (strata if strata is not None
+                            else (tuple(range(len(program.rules))),)):
+                groups = compiled.groups(tuple(stratum))
                 # Each stratum restarts semi-naive with everything known so
                 # far as the delta: its rules have not seen any of it yet.
                 delta = facts.copy()
@@ -265,17 +423,16 @@ def evaluate(program: Program, instance: Interpretation,
                     with tracer.span("datalog.round", round=rounds) as rspan:
                         before = counter.candidates
                         new_delta = Interpretation()
-                        for rule in rules:
-                            for env in _match_body(rule, facts, delta):
-                                fact = _fire(rule, env)
-                                if fact not in facts:
-                                    new_delta.add(fact)
+                        for body, heads in groups:
+                            body.match(facts, delta,
+                                       _fire_into(heads, facts, new_delta.add))
                         for fact in new_delta:
                             facts.add(fact)
                         delta = new_delta
                         rspan.set(delta=len(new_delta),
                                   candidates=counter.candidates - before)
         else:
+            groups = compiled.groups(tuple(range(len(program.rules))))
             changed = True
             while changed:
                 rounds += 1
@@ -285,11 +442,9 @@ def evaluate(program: Program, instance: Interpretation,
                     before = counter.candidates
                     changed = False
                     fresh: list[Atom] = []
-                    for rule in program.rules:
-                        for env in _match_body(rule, facts, None):
-                            fact = _fire(rule, env)
-                            if fact not in facts:
-                                fresh.append(fact)
+                    for body, heads in groups:
+                        body.match(facts, None,
+                                   _fire_into(heads, facts, fresh.append))
                     derived = 0
                     for fact in fresh:
                         if fact not in facts:

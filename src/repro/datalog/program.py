@@ -80,6 +80,12 @@ class Program:
                         f"goal relation {goal!r} must not occur in rule bodies")
             _validate_rule_safety(rule, idx)
 
+    def __getstate__(self) -> dict:
+        # Only the fields: the engine caches its compiled join plans on
+        # the program (repro.datalog.engine.compile_program), and those
+        # stay in the process that built them.
+        return {"rules": self.rules, "goal": self.goal}
+
     def is_pure_datalog(self) -> bool:
         """True if no rule uses inequality (Datalog rather than Datalog≠)."""
         return not any(rule.uses_inequality() for rule in self.rules)

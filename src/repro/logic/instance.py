@@ -262,6 +262,16 @@ class Interpretation:
                 best_len = len(bucket)
         return best
 
+    def join_index(self) -> tuple[
+        dict[str, set[tuple[Element, ...]]],
+        dict[tuple[str, int, Element], set[tuple[Element, ...]]],
+    ]:
+        """The live ``pred -> tuples`` and ``(pred, position, value) ->
+        tuples`` maps behind :meth:`candidate_tuples`, for join kernels
+        that pick buckets inline.  A predicate is a key only while it has
+        tuples.  Callers must not mutate them."""
+        return self._facts, self._index
+
     def has_tuple(self, pred: str, args: tuple[Element, ...]) -> bool:
         """Membership test on raw ``(pred, argument-tuple)`` pairs."""
         bucket = self._facts.get(pred)

@@ -106,8 +106,9 @@ class CompiledOMQ:
     metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
     # Fast-path state: a statically-verified Datalog≠ rewriting.  When
     # plan_kind == "datalog-fastpath" evaluation runs `program` (already
-    # optimized) under `strata`; the ladder engine stays compiled as the
-    # documented fallback.  `fastpath_reason` records why the gate
+    # optimized, its join plans compiled once and cached on it) under
+    # `strata`; the ladder engine stays compiled as the documented
+    # fallback.  `fastpath_reason` records why the gate
     # accepted ("" == accepted) or refused the fast path.
     plan_kind: str = "ladder"
     program: Any = None                   # repro.datalog.Program | None
@@ -251,8 +252,6 @@ class CompiledOMQ:
             fixpoint = datalog_evaluate(
                 self.program, instance,
                 strata=self.strata or None, budget=budget)
-        except ResourceExhausted:
-            raise
         except BudgetExceeded as exc:
             raise ResourceExhausted(Outcome.exhausted_outcome(exc)) from exc
         empty_pred = (self.program_meta or {}).get("empty_pred")
@@ -434,8 +433,12 @@ def _try_fastpath(plan: CompiledOMQ, mode: str) -> None:
        those semantics instead;
     4. the emitted program passes :func:`repro.analysis.analyze_program`'s
        admissibility verdict after optimization.
+
+    An accepted program's join plans are compiled here, once, so every
+    instance the plan serves reuses them.
     """
     from ..analysis.program import analyze_program, optimize_program
+    from ..datalog.engine import compile_program
     from ..queries.cq import CQ as _CQ
 
     def refuse(reason: str) -> None:
@@ -482,6 +485,7 @@ def _try_fastpath(plan: CompiledOMQ, mode: str) -> None:
         return refuse(
             "optimized program fails admissibility: "
             + "; ".join(report.reasons))
+    compile_program(optimized.program)
     plan.plan_kind = "datalog-fastpath"
     plan.program = optimized.program
     plan.strata = optimized.strata

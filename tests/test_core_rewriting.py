@@ -221,3 +221,34 @@ class TestIncrementalEnumeration:
         assert set(incremental.elem_types) == set(reference.elem_types)
         assert set(incremental.pair_types) == set(reference.pair_types)
         assert len(incremental.pair_types) == len(reference.pair_types)
+
+
+class TestEnumerationLimit:
+    """A type set cut at ``enumeration_limit`` would let the
+    type-elimination fixpoint over-report certain answers: the rewriting
+    refuses to exist instead."""
+
+    def test_truncated_type_set_raises(self):
+        assert len(TypeRewriting(HAND, HAND_Q).elem_types) > 2
+        with pytest.raises(ValueError, match="enumeration_limit"):
+            TypeRewriting(HAND, HAND_Q, enumeration_limit=2)
+
+    def test_fastpath_falls_back_to_the_ladder(self, monkeypatch):
+        import functools
+
+        from repro.core import rewriting
+        from repro.serving import clear_caches, compile_omq
+
+        monkeypatch.setattr(
+            rewriting, "TypeRewriting",
+            functools.partial(TypeRewriting, enumeration_limit=2))
+        clear_caches()
+        try:
+            plan = compile_omq(HAND, "q(x) <- hasFinger(x,y) & Thumb(y)",
+                               fastpath="force")
+        finally:
+            clear_caches()
+        assert plan.plan_kind == "ladder"
+        assert plan.fastpath_reason.startswith(
+            "type rewriting not constructible")
+        assert "enumeration_limit" in plan.fastpath_reason

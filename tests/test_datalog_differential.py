@@ -194,6 +194,107 @@ class TestJoinWorkScalesWithDelta:
         assert join_counter.candidates <= 8, join_counter.candidates
 
 
+# -- the compiled kernel: slot plans, repeated variables, shared bodies ---
+
+
+def all_fixpoints(program, instance):
+    """Naive, semi-naive and stratified fixpoints, asserted equal."""
+    naive = fixpoint_or_starved(program, instance, semi_naive=False)
+    semi = fixpoint_or_starved(program, instance, semi_naive=True)
+    strat = fixpoint_or_starved(program, instance, semi_naive=True,
+                                strata=stratify(program))
+    assert naive == semi == strat
+    return semi
+
+
+def names(fixpoint, pred):
+    return {tuple(a.name for a in f.args) for f in fixpoint if f.pred == pred}
+
+
+class TestCompiledKernel:
+    # S is derived from R one round after the EDB, so the S atoms below
+    # are also seeded from a non-initial delta.  S(c,d) and S(d,c) make
+    # both index buckets of S(y,y) at y = c non-empty, with no loop at c.
+    REPEATS = Interpretation(
+        Atom(pred, (Const(u), Const(v))) for pred, u, v in (
+            ("E", "a", "b"), ("E", "a", "c"), ("E", "d", "d"),
+            ("E", "e", "c"), ("R", "b", "b"), ("R", "c", "d"),
+            ("R", "d", "c"), ("R", "d", "d")))
+
+    def test_repeated_variable_in_seed_atom(self):
+        program = Program([
+            Rule(Atom("S", (X, Y)), [Atom("R", (X, Y))]),
+            Rule(Atom("Loop", (Y,)), [Atom("S", (Y, Y))]),
+            # Seeded from S: y repeats inside the seed atom itself.
+            Rule(Atom("Hit", (X,)), [Atom("E", (X, Y)), Atom("S", (Y, Y))]),
+        ])
+        fixpoint = all_fixpoints(program, self.REPEATS)
+        assert names(fixpoint, "Loop") == {("b",), ("d",)}
+        assert names(fixpoint, "Hit") == {("a",), ("d",)}
+
+    def test_repeated_variable_in_later_atom(self):
+        program = Program([
+            Rule(Atom("S", (X, Y)), [Atom("R", (X, Y))]),
+            # Seeded from E: z is new at S and repeats inside it.
+            Rule(Atom("Far", (X, Z)),
+                 [Atom("E", (X, Y)), Atom("S", (Z, Z)), Neq(Y, Z)]),
+            # Seeded from E: y is bound before S and fills both positions.
+            Rule(Atom("Hit", (X,)), [Atom("E", (X, Y)), Atom("S", (Y, Y))]),
+            # Seeded from E(x, x): the repeat is in the seed, S is later.
+            Rule(Atom("Self", (X,)), [Atom("E", (X, X)), Atom("S", (X, Y))]),
+        ])
+        fixpoint = all_fixpoints(program, self.REPEATS)
+        assert names(fixpoint, "Far") == {
+            ("a", "b"), ("a", "d"), ("d", "b"), ("e", "b"), ("e", "d")}
+        assert names(fixpoint, "Hit") == {("a",), ("d",)}
+        assert names(fixpoint, "Self") == {("d",)}
+
+    def test_shared_body_joins_once_and_fires_every_head(self):
+        # The second body equals the first up to renaming (y,x,z for
+        # x,y,z), so the two rules share one compiled body.
+        path = Rule(Atom("P", (X, Z)), [Atom("E", (X, Y)), Atom("E", (Y, Z))])
+        mid = Rule(Atom("M", (X,)), [Atom("E", (Y, X)), Atom("E", (X, Z))])
+        inst = Interpretation(
+            Atom("E", (Const(f"n{i}"), Const(f"n{i + 1}"))) for i in range(6))
+        costs = {}
+        for label, program in (("one", Program([path])),
+                               ("two", Program([path, mid]))):
+            join_counter.reset()
+            fixpoint = evaluate(program, inst)
+            costs[label] = join_counter.candidates
+        assert names(fixpoint, "P") == {
+            (f"n{i}", f"n{i + 2}") for i in range(5)}
+        assert names(fixpoint, "M") == {(f"n{i}",) for i in range(1, 6)}
+        assert costs["two"] == costs["one"] > 0
+
+    def test_program_freed_once_clear_caches_drops_its_plan(self):
+        import gc
+        import weakref
+
+        from repro.logic.instance import make_instance
+        from repro.logic.ontology import ontology
+        from repro.serving import clear_caches, compile_omq
+
+        clear_caches()
+        onto = ontology("forall x,y (R(x,y) -> (A(x) -> A(y)))")
+        plan = compile_omq(onto, "q(x) <- A(x)", fastpath="auto")
+        assert plan.plan_kind == "datalog-fastpath"
+        plan.evaluate(make_instance("A(a)", "R(a,b)"))
+        program = weakref.ref(plan.program)
+        del plan
+        clear_caches()
+        gc.collect()
+        assert program() is None
+
+    def test_compiled_plans_stay_out_of_pickles(self):
+        program, inst = chain_reachability(20)
+        before = pickle.dumps(program)
+        evaluate(program, inst)
+        evaluate(program, inst, semi_naive=False)
+        assert len(pickle.dumps(program)) == len(before)
+        assert pickle.loads(before) == program
+
+
 # -- regressions riding along ---------------------------------------------
 
 
